@@ -200,14 +200,16 @@ fn netsim_storm_phase() -> u64 {
 }
 
 /// The sharded conservative-window driver on the same 1000-rank storm:
-/// four lanes, run with `--jobs 1` so the executor takes its serial path
-/// (a plain loop — the forking path's scope bookkeeping would count
-/// scheduler allocations, not engine ones). Pins that the engine's window
-/// loop is allocation-free per worker once warm: lane batch buffers,
-/// outboxes, and the barrier-merge scratch are pooled, and the window
-/// error slot lives on the stack.
-fn mpisim_sharded_storm_phase(checks: bool) -> u64 {
-    set_jobs(1);
+/// four lanes, run at `jobs` workers. At `--jobs 1` the executor takes
+/// its serial path (a plain loop); at `--jobs 2` every lock-step window
+/// fork-joins on `benchlib`'s persistent worker team, which warm-up has
+/// already grown, so a window's fan-out and join allocate nothing either.
+/// Pins that the engine's window loop is allocation-free per worker once
+/// warm — lane batch buffers, outboxes, and the barrier-merge scratch are
+/// pooled, and the window error slot lives on the stack — and that the
+/// threaded executor adds no per-window allocation of its own.
+fn mpisim_sharded_storm_phase(checks: bool, jobs: usize) -> u64 {
+    set_jobs(jobs);
     let cfg = StormConfig {
         checks,
         ..StormConfig::with_ranks(1_000)
@@ -230,9 +232,9 @@ fn mpisim_sharded_storm_phase(checks: bool) -> u64 {
     delta
 }
 
-/// Sharded twin of [`netsim_storm_phase`].
-fn netsim_sharded_storm_phase() -> u64 {
-    set_jobs(1);
+/// Sharded twin of [`netsim_storm_phase`], at `jobs` workers.
+fn netsim_sharded_storm_phase(jobs: usize) -> u64 {
+    set_jobs(jobs);
     let cfg = NetStormConfig::with_ranks(1_000);
     let (h_warm, h_end) = {
         let mut probe = NetStorm::new(&cfg, QueuePolicy::Calendar, 23).expect("probe");
@@ -301,15 +303,27 @@ fn steady_state_hot_paths_allocate_nothing() {
         ("netsim 1k-rank lock-step storm", netsim_storm_phase()),
         (
             "mpisim 1k-rank sharded storm",
-            mpisim_sharded_storm_phase(false),
+            mpisim_sharded_storm_phase(false, 1),
         ),
         (
             "mpisim 1k-rank sharded storm under --check",
-            mpisim_sharded_storm_phase(true),
+            mpisim_sharded_storm_phase(true, 1),
         ),
         (
             "netsim 1k-rank sharded lock-step storm",
-            netsim_sharded_storm_phase(),
+            netsim_sharded_storm_phase(1),
+        ),
+        (
+            "mpisim 1k-rank sharded storm at --jobs 2",
+            mpisim_sharded_storm_phase(false, 2),
+        ),
+        (
+            "mpisim 1k-rank sharded storm under --check at --jobs 2",
+            mpisim_sharded_storm_phase(true, 2),
+        ),
+        (
+            "netsim 1k-rank sharded lock-step storm at --jobs 2",
+            netsim_sharded_storm_phase(2),
         ),
         ("gpurt memcpy loop", gpurt_phase()),
         ("batch gaussian fill", noise_phase()),
