@@ -184,11 +184,13 @@ fn mpisim_storm_10k_heap_ns() -> f64 {
 /// (4 shards; worker count = host cores, via `set_jobs(0)`). The horizons
 /// come from a serial probe so the timed window covers the same
 /// virtual-time slice as [`mpisim_storm_10k_ns`]; the artifact records the
-/// ratio as `mpisim_storm_10k_sharded_speedup_vs_serial`. The storm is
-/// barrier-bound (~9 events per lock-step window), so this metric is
-/// dominated by the per-window fan-out onto `benchlib`'s worker team (see
-/// [`pool_wake_ns`]): on a 2-core host (`nproc` 2) it measures ~300 ns
-/// per event, against ~4.8 µs when every window spawned OS threads.
+/// ratio as `mpisim_storm_10k_sharded_speedup_vs_serial`. The storm has
+/// no cross-shard channel, so each `run_until` is one barrier-free window:
+/// the lanes fork-join once on `benchlib`'s persistent worker team and
+/// drain to the horizon. On a 2-core host (`nproc` 2) it measures
+/// ~113–127 ns per event, 1.4–1.7× the serial storm, against ~285–293 ns
+/// when it ran ~9 events per lock-step window (a fan-out per window, see
+/// [`pool_wake_ns`]) and ~4.8 µs when every window spawned OS threads.
 fn mpisim_storm_10k_sharded_ns() -> f64 {
     const EVENTS: u64 = 25_000;
     set_jobs(0);

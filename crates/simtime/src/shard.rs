@@ -18,15 +18,19 @@
 //! ```
 //!
 //! **Lookahead** is the minimum virtual-time delay of any cross-shard
-//! interaction, derived by the world from its topology/link model (e.g.
-//! the 200 ns inter-NUMA UPI hop of the mpisim storm topology, the
-//! intra-group fabric path of the netsim storm). An event emitted inside
-//! the window `[gvt, end)` toward another shard therefore arrives at
-//! `emission + lookahead ≥ end` — never inside the executing window — so
-//! every shard can drain its window without observing its peers. The
-//! contract is *enforced*, not assumed: [`LaneCtx::send_to`] asserts the
-//! arrival time is at or past the window bound, so a mis-derived
-//! lookahead fails loudly instead of silently corrupting determinism.
+//! interaction, declared by the world from its own channel model. An
+//! event emitted inside the window `[gvt, end)` toward another shard
+//! therefore arrives at `emission + lookahead ≥ end` — never inside the
+//! executing window — so every shard can drain its window without
+//! observing its peers. A world whose partition has *no* cross-shard
+//! channel (the mpisim and netsim storms) declares no lookahead at all
+//! (`None`): its window is `[gvt, horizon)`, so each `run_until` is one
+//! fork-join in which every lane drains free-running to the horizon, with
+//! no per-window barrier. The contract is *enforced*, not assumed:
+//! [`LaneCtx::send_to`] asserts the arrival time is at or past the window
+//! bound, so an over-promised lookahead — or a send from a world that
+//! declared none — fails loudly instead of silently corrupting
+//! determinism.
 //!
 //! **Determinism.** The result is bit-identical to serial execution at
 //! any shard count, under two conditions the worlds uphold:
@@ -55,8 +59,12 @@
 //! interleaving and worker count.
 //!
 //! Threading is *injected*: [`ShardRunner::run_until`] takes an executor
-//! closure so `benchlib`'s scoped thread pool can drive the lanes without
-//! this crate depending on it (the dependency points the other way).
+//! closure so `benchlib`'s persistent worker team can fork-join the lanes
+//! once per window without this crate depending on it (the dependency
+//! points the other way). A fork-join costs ~1 µs on a 2-core host
+//! (`nproc` 2), which is why declaring no lookahead matters: the 10k-rank
+//! mpisim storm went from ~5000 windows of ~9 events (~15 ms a run) to
+//! one window (~9 ms).
 //! [`serial_exec`] is the in-crate oracle; with it, the sharded path is
 //! plain deterministic single-threaded code.
 //!
@@ -274,7 +282,8 @@ impl<T> LaneCtx<'_, T> {
     ///
     /// # Panics
     /// Panics if `at` is inside the executing window — that means the
-    /// world's declared lookahead over-promised, and conservative
+    /// world's declared lookahead over-promised (or, with none declared,
+    /// that it has a cross-shard channel after all), and conservative
     /// execution would be unsound.
     pub fn send_to(&mut self, dst: usize, at: SimTime, payload: T) {
         assert!(
@@ -306,7 +315,8 @@ pub fn serial_exec<W, T>(lanes: &mut [Lane<W, T>], f: &(dyn Fn(&mut Lane<W, T>) 
 #[derive(Debug)]
 pub struct ShardRunner<W, T> {
     lanes: Vec<Lane<W, T>>,
-    lookahead: SimDuration,
+    /// `None`: no cross-shard channel, one window per `run_until`.
+    lookahead: Option<SimDuration>,
     windows: u64,
     cross_events: u64,
     /// Barrier merge scratch, reused across windows.
@@ -314,14 +324,21 @@ pub struct ShardRunner<W, T> {
 }
 
 impl<W, T> ShardRunner<W, T> {
-    /// One lane per world. `lookahead` is the world-derived minimum
+    /// One lane per world. `lookahead` is the world-declared minimum
     /// cross-shard delay (must be positive — a zero window never
-    /// advances); `cap` pre-sizes each lane's queue arena and batch
-    /// scratch so the steady state is allocation-free.
-    pub fn new(worlds: Vec<W>, lookahead: SimDuration, policy: QueuePolicy, cap: usize) -> Self {
+    /// advances), or `None` for a partition with no cross-shard channel,
+    /// whose lanes then run free to each horizon; `cap` pre-sizes each
+    /// lane's queue arena and batch scratch so the steady state is
+    /// allocation-free.
+    pub fn new(
+        worlds: Vec<W>,
+        lookahead: Option<SimDuration>,
+        policy: QueuePolicy,
+        cap: usize,
+    ) -> Self {
         assert!(!worlds.is_empty(), "a runner needs at least one shard");
         assert!(
-            lookahead > SimDuration::ZERO,
+            lookahead.is_none_or(|d| d > SimDuration::ZERO),
             "lookahead must be positive: a zero-width window cannot advance"
         );
         let lanes = worlds
@@ -420,6 +437,7 @@ impl<W, T> ShardRunner<W, T> {
 
     /// Run conservative windows until no event earlier than `horizon`
     /// remains; events at or past `horizon` stay queued for a later call.
+    /// Without a lookahead that is a single window `[gvt, horizon)`.
     ///
     /// `handler` processes one whole same-timestamp batch per call (see
     /// the module docs for its determinism obligations). `exec` applies
@@ -444,7 +462,7 @@ impl<W, T> ShardRunner<W, T> {
             if gvt >= horizon {
                 break;
             }
-            let window_end = (gvt + self.lookahead).min(horizon);
+            let window_end = self.lookahead.map_or(horizon, |d| (gvt + d).min(horizon));
             self.windows += 1;
             // The error slot lives on the stack; workers lock it only on
             // the cold failure path, keeping the steady state
@@ -520,7 +538,7 @@ mod tests {
     fn non_conservative_send_panics() {
         let mut r: ShardRunner<(), u32> = ShardRunner::new(
             vec![(), ()],
-            SimDuration::from_ps(1_000),
+            Some(SimDuration::from_ps(1_000)),
             QueuePolicy::Heap,
             4,
         );
@@ -541,7 +559,7 @@ mod tests {
     fn errors_surface_from_the_lowest_shard() {
         let mut r: ShardRunner<(), u32> = ShardRunner::new(
             vec![(), (), ()],
-            SimDuration::from_ps(1_000_000),
+            Some(SimDuration::from_ps(1_000_000)),
             QueuePolicy::Heap,
             4,
         );
@@ -664,15 +682,15 @@ mod tests {
         events: u64,
     }
 
-    /// Run the toy world at `shards` shards over a script of horizons.
-    fn run_toy(
+    /// Build the toy world at `shards` shards, seeded in global entity
+    /// order as a serial world would seed it.
+    fn toy_runner(
         entities: usize,
         shards: usize,
         send_every: u64,
         policy: QueuePolicy,
         starts: &[u64],
-        horizons: &[u64],
-    ) -> ToyOutcome {
+    ) -> ShardRunner<ToyWorld, Msg> {
         let mut worlds = Vec::new();
         for s in 0..shards {
             let owned = (0..entities).filter(|&e| owner(e, entities, shards) == s);
@@ -685,30 +703,24 @@ mod tests {
                 mailbox: vec![0; n],
             });
         }
-        let mut r = ShardRunner::new(
-            worlds,
-            SimDuration::from_ps(LOOKAHEAD_PS),
-            policy,
-            entities.max(4),
-        );
-        // Seed in global entity order, as a serial world would.
+        // The token delay floor bounds cross-shard latency; a toy that
+        // never sends has no cross-shard channel and declares none.
+        let lookahead = (send_every > 0).then_some(SimDuration::from_ps(LOOKAHEAD_PS));
+        let mut r = ShardRunner::new(worlds, lookahead, policy, entities.max(4));
         for e in 0..entities {
             let s = owner(e, entities, shards);
             r.seed(s, ps(starts[e % starts.len()]), Msg::Step { e: e as u32 });
         }
-        let handler = toy_handler(entities, shards, send_every);
-        let mut events = 0;
-        for &h in horizons {
-            events = r
-                .run_until(ps(h), &handler, &serial_exec)
-                .unwrap_or_else(|_| panic!("toy world cannot fail"));
-        }
+        r
+    }
+
+    /// Per-entity state of a toy runner, in global entity order.
+    fn toy_outcome(r: &ShardRunner<ToyWorld, Msg>, entities: usize) -> ToyOutcome {
         let mut clocks = Vec::new();
         let mut acc = Vec::new();
         let mut mailbox = Vec::new();
         for e in 0..entities {
-            let s = owner(e, entities, shards);
-            let w = r.world(s);
+            let w = r.world(owner(e, entities, r.shards()));
             let i = e - w.base;
             clocks.push(w.clocks[i]);
             acc.push(w.acc[i]);
@@ -718,8 +730,26 @@ mod tests {
             clocks,
             acc,
             mailbox,
-            events,
+            events: r.events(),
         }
+    }
+
+    /// Run the toy world at `shards` shards over a script of horizons.
+    fn run_toy(
+        entities: usize,
+        shards: usize,
+        send_every: u64,
+        policy: QueuePolicy,
+        starts: &[u64],
+        horizons: &[u64],
+    ) -> ToyOutcome {
+        let mut r = toy_runner(entities, shards, send_every, policy, starts);
+        let handler = toy_handler(entities, shards, send_every);
+        for &h in horizons {
+            r.run_until(ps(h), &handler, &serial_exec)
+                .unwrap_or_else(|_| panic!("toy world cannot fail"));
+        }
+        toy_outcome(&r, entities)
     }
 
     /// Plain single-queue reference: no ShardRunner, no windows — the
@@ -794,29 +824,7 @@ mod tests {
         }
         // At 2+ shards with 12 interacting entities, some tokens must
         // actually cross a boundary — otherwise this test proves nothing.
-        let mut worlds = Vec::new();
-        for s in 0..2 {
-            let owned: Vec<usize> = (0..12).filter(|&e| owner(e, 12, 2) == s).collect();
-            worlds.push(ToyWorld {
-                base: owned[0],
-                clocks: vec![SimTime::ZERO; owned.len()],
-                acc: owned.iter().map(|&e| mix(17, e as u64)).collect(),
-                mailbox: vec![0; owned.len()],
-            });
-        }
-        let mut r = ShardRunner::new(
-            worlds,
-            SimDuration::from_ps(LOOKAHEAD_PS),
-            QueuePolicy::Auto,
-            12,
-        );
-        for e in 0..12usize {
-            r.seed(
-                owner(e, 12, 2),
-                ps(starts[e % 3]),
-                Msg::Step { e: e as u32 },
-            );
-        }
+        let mut r = toy_runner(12, 2, 3, QueuePolicy::Auto, &starts);
         let handler = toy_handler(12, 2, 3);
         r.run_until(ps(400_000), &handler, &serial_exec)
             .unwrap_or_else(|_| panic!("toy world cannot fail"));
@@ -833,7 +841,8 @@ mod tests {
     #[test]
     fn threaded_executor_matches_serial_executor() {
         // A scoped-thread executor: one thread per lane, maximum
-        // interleaving freedom — results must still be byte-identical.
+        // interleaving freedom — results must still be byte-identical,
+        // both windowed and with lanes running free to the horizon.
         fn threaded<W: Send, T: Send>(
             lanes: &mut [Lane<W, T>],
             f: &(dyn Fn(&mut Lane<W, T>) + Sync),
@@ -845,42 +854,13 @@ mod tests {
             });
         }
         let starts = [0, 500];
-        let serial = run_toy(10, 4, 2, QueuePolicy::Auto, &starts, &[250_000]);
-        // Re-run with the threaded executor.
-        let mut worlds = Vec::new();
-        for s in 0..4 {
-            let owned: Vec<usize> = (0..10).filter(|&e| owner(e, 10, 4) == s).collect();
-            worlds.push(ToyWorld {
-                base: owned[0],
-                clocks: vec![SimTime::ZERO; owned.len()],
-                acc: owned.iter().map(|&e| mix(17, e as u64)).collect(),
-                mailbox: vec![0; owned.len()],
-            });
-        }
-        let mut r = ShardRunner::new(
-            worlds,
-            SimDuration::from_ps(LOOKAHEAD_PS),
-            QueuePolicy::Auto,
-            10,
-        );
-        for e in 0..10usize {
-            r.seed(
-                owner(e, 10, 4),
-                ps(starts[e % 2]),
-                Msg::Step { e: e as u32 },
-            );
-        }
-        let handler = toy_handler(10, 4, 2);
-        let events = r
-            .run_until(ps(250_000), &handler, &threaded)
-            .unwrap_or_else(|_| panic!("toy world cannot fail"));
-        assert_eq!(events, serial.events);
-        for e in 0..10usize {
-            let s = owner(e, 10, 4);
-            let w = r.world(s);
-            let i = e - w.base;
-            assert_eq!(w.clocks[i], serial.clocks[e], "entity {e} clock");
-            assert_eq!(w.acc[i], serial.acc[e], "entity {e} acc");
+        for send_every in [2, 0] {
+            let serial = run_toy(10, 4, send_every, QueuePolicy::Auto, &starts, &[250_000]);
+            let mut r = toy_runner(10, 4, send_every, QueuePolicy::Auto, &starts);
+            let handler = toy_handler(10, 4, send_every);
+            r.run_until(ps(250_000), &handler, &threaded)
+                .unwrap_or_else(|_| panic!("toy world cannot fail"));
+            assert_eq!(toy_outcome(&r, 10), serial, "send_every={send_every}");
         }
     }
 
@@ -899,6 +879,54 @@ mod tests {
         assert_eq!(one_shot, stepped);
     }
 
+    #[test]
+    #[should_panic(expected = "lookahead is not conservative")]
+    fn channel_free_world_that_sends_across_shards_panics() {
+        let mut r: ShardRunner<(), u32> =
+            ShardRunner::new(vec![(), ()], None, QueuePolicy::Heap, 4);
+        r.seed(0, ps(100), 7);
+        let handler = |_w: &mut (),
+                       t: SimTime,
+                       _batch: &[Scheduled<u32>],
+                       ctx: &mut LaneCtx<'_, u32>|
+         -> Result<(), ()> {
+            // Far past the event, yet still below the horizon: a world
+            // that declared no lookahead has no cross-shard channel.
+            ctx.send_to(1, t + SimDuration::from_ps(5_000), 9);
+            Ok(())
+        };
+        let _ = r.run_until(ps(10_000), &handler, &serial_exec);
+    }
+
+    #[test]
+    fn channel_free_runs_take_one_window_per_call_and_resume_exactly() {
+        let starts = [0, 700, 50];
+        let handler = toy_handler(9, 3, 0);
+        let mut one_shot = toy_runner(9, 3, 0, QueuePolicy::Auto, &starts);
+        one_shot
+            .run_until(ps(300_000), &handler, &serial_exec)
+            .unwrap_or_else(|_| panic!("toy world cannot fail"));
+        assert_eq!(one_shot.stats().windows, 1);
+        let expected = toy_outcome(&one_shot, 9);
+        assert_eq!(expected, run_toy_reference(9, 0, &starts, 300_000));
+
+        // A horizon at the first event, a repeated horizon and a gap: only
+        // calls with an event below their horizon open a window.
+        let mut r = toy_runner(9, 3, 0, QueuePolicy::Auto, &starts);
+        let mut windows = 0;
+        for h in [0, 40_000, 40_000, 90_000, 300_000] {
+            if r.next_time().is_some_and(|t| t < ps(h)) {
+                windows += 1;
+            }
+            r.run_until(ps(h), &handler, &serial_exec)
+                .unwrap_or_else(|_| panic!("toy world cannot fail"));
+            assert_eq!(r.stats().windows, windows, "horizon {h}");
+        }
+        assert_eq!(windows, 3);
+        assert_eq!(r.stats().cross_events, 0);
+        assert_eq!(toy_outcome(&r, 9), expected);
+    }
+
     mod differential {
         use super::*;
         use proptest::prelude::*;
@@ -908,7 +936,9 @@ mod tests {
             /// The tentpole contract: serial (1 shard), 2 shards, and 8
             /// shards agree bit for bit with the plain-queue reference,
             /// over arbitrary entity counts, start offsets, interaction
-            /// rates, drain scripts, and both queue cores.
+            /// rates, drain scripts, and both queue cores. A zero
+            /// interaction rate declares no lookahead, so those cases run
+            /// the one-window-per-call path.
             #[test]
             fn prop_serial_two_and_eight_shards_agree(
                 entities in 2usize..20,

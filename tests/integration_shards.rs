@@ -1,11 +1,12 @@
 //! Shard-count A/B: the sharded conservative-window DES driver must be
 //! *observationally invisible*. Whatever `DOEBENCH_SHARDS` selects, the
 //! engine executes the same `(time, seq)` total order — per-shard queues
-//! drain lock-step lookahead windows and merge canonically at the
-//! barriers — so every downstream consumer (campaign tables, storm clock
-//! digests, sanitizer findings) must be byte-identical to serial, and the
-//! invariance must compose with the queue-core switch (`DOEBENCH_QUEUE`)
-//! and with `--check` on or off.
+//! drain lookahead windows (or, with no cross-shard channel, run free to
+//! the horizon) and merge canonically at the barriers — so every
+//! downstream consumer (campaign tables, storm clock digests, sanitizer
+//! findings) must be byte-identical to serial, and the invariance must
+//! compose with the queue-core switch (`DOEBENCH_QUEUE`), with `--check`
+//! on or off, and with the worker count.
 //!
 //! Kept in one `#[test]` because the default shard and queue policies are
 //! process-global (`set_default_shard_policy` / `set_default_queue_policy`,
@@ -92,18 +93,24 @@ fn campaign_and_storms_are_byte_identical_across_shard_counts() {
     };
     assert!(mpi_oracle.events > 0 && net_oracle.events > 0);
 
-    // --- Storm digests across shards × queue core × sanitizer. Every
-    // combination must reproduce the serial oracle's fingerprint exactly.
+    // --- Storm digests across workers × shards × queue core × sanitizer.
+    // Every combination must reproduce the serial oracle's fingerprint
+    // exactly; at jobs 2 the shards run free on the worker team.
     let shard_policies = [
         ShardPolicy::Serial,
         ShardPolicy::Sharded(2),
         ShardPolicy::Sharded(8),
     ];
-    for shards in shard_policies {
+    for (jobs, shards) in [1, 2]
+        .into_iter()
+        .flat_map(|j| shard_policies.map(|s| (j, s)))
+    {
+        set_jobs(jobs);
         set_default_shard_policy(shards);
         for queue in [QueuePolicy::Heap, QueuePolicy::Calendar] {
             for checks in [false, true] {
-                let label = format!("shards={shards:?} queue={queue:?} checks={checks}");
+                let label =
+                    format!("jobs={jobs} shards={shards:?} queue={queue:?} checks={checks}");
                 let m_cfg = StormConfig {
                     checks,
                     ..mpi_cfg.clone()
@@ -135,6 +142,7 @@ fn campaign_and_storms_are_byte_identical_across_shard_counts() {
     // --- Campaign tables across the process-default switch (what CI's
     // DOEBENCH_SHARDS binary-diff job exercises end to end), composed
     // with the queue-core default.
+    set_jobs(1);
     set_default_shard_policy(ShardPolicy::Serial);
     set_default_queue_policy(QueuePolicy::Heap);
     let tables_serial = campaign_output();
