@@ -23,7 +23,10 @@ impl CommScopeConfig {
     /// 0.5 s: per-operation costs in the simulator are deterministic up to
     /// common-mode jitter, so a 10 ms (virtual) batch already averages
     /// thousands of operations, matching the statistical role of the
-    /// original's longer batches at a fraction of the simulation cost.
+    /// original's longer batches. The target stays at 10 ms because it
+    /// fixes the iteration counts and so the output bytes; it no longer
+    /// saves simulation time, since the runtime's repeat methods apply a
+    /// steady-state batch in O(1) whatever its length.
     pub fn paper() -> Self {
         CommScopeConfig {
             reps: 100,

@@ -8,10 +8,7 @@ use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, NodeTopology};
 
 use crate::config::CommScopeConfig;
-
-fn rep_seed(seed: u64, rep: usize) -> u64 {
-    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
+use crate::rep_seed;
 
 /// `Comm_cudart_kernel`: wall time to *launch* (not complete) empty,
 /// zero-argument kernels. Returns µs, mean ± σ over the outer runs.
@@ -33,9 +30,7 @@ pub fn launch_latency(
             // previous (shorter) probe batch never bleeds into this one.
             rt.device_synchronize().expect("sync");
             let t0 = rt.now();
-            for _ in 0..n {
-                rt.launch_empty(&stream).expect("launch");
-            }
+            rt.repeat_launch_empty(&stream, n).expect("launch");
             rt.now().since(t0)
         });
         rt.device_synchronize().expect("final sync");
@@ -58,9 +53,7 @@ pub fn wait_latency(
         rt.set_device(dev).expect("device exists");
         let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
             let t0 = rt.now();
-            for _ in 0..n {
-                rt.device_synchronize().expect("sync");
-            }
+            rt.repeat_device_synchronize(n).expect("sync");
             rt.now().since(t0)
         });
         per.as_us()

@@ -40,3 +40,10 @@ pub use memcpy::{
     h2d_pageable_transfer, h2d_transfer, Transfer,
 };
 pub use suite::{run_commscope, CommScopeReport};
+
+/// The jitter seed of outer run `rep` of a measurement seeded `seed`:
+/// every rep builds its own runtime from this, so reps can run on any
+/// pool worker in any order.
+fn rep_seed(seed: u64, rep: usize) -> u64 {
+    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}

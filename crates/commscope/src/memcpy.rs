@@ -9,6 +9,7 @@ use doe_gpusim::GpuModel;
 use doe_topo::{DeviceId, LinkClass, NodeTopology};
 
 use crate::config::CommScopeConfig;
+use crate::rep_seed;
 
 /// A latency/bandwidth pair for one transfer direction or pair.
 #[derive(Clone, Debug)]
@@ -17,10 +18,6 @@ pub struct Transfer {
     pub latency_us: Summary,
     /// Achieved bandwidth of a large (1 GiB) copy, GB/s.
     pub bandwidth_gb_s: Summary,
-}
-
-fn rep_seed(seed: u64, rep: usize) -> u64 {
-    seed ^ (rep as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Measure invoke-and-complete copy time between two buffers, per
@@ -37,10 +34,8 @@ fn copy_time_us(
     let stream = rt.default_stream(exec_dev).expect("stream");
     let (_iters, per) = adaptive_iterations(cfg.adaptive, |n| {
         let t0 = rt.now();
-        for _ in 0..n {
-            rt.memcpy_async(dst, src, bytes, &stream).expect("copy");
-            rt.stream_synchronize(&stream).expect("sync");
-        }
+        rt.repeat_memcpy_sync(dst, src, bytes, &stream, n)
+            .expect("copy");
         rt.now().since(t0)
     });
     per.as_us()

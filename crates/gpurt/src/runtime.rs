@@ -360,10 +360,14 @@ impl GpuRuntime {
         }
     }
 
+    /// Slot of a directed wire in the dense wire table.
+    fn wire_slot(&self, key: (Vertex, Vertex)) -> usize {
+        self.vertex_index(key.0) * self.wire_dims.2 + self.vertex_index(key.1)
+    }
+
     /// The occupancy engine of a directed wire, created on first use.
     fn wire_engine(&mut self, key: (Vertex, Vertex)) -> &mut Engine {
-        let nv = self.wire_dims.2;
-        let idx = self.vertex_index(key.0) * nv + self.vertex_index(key.1);
+        let idx = self.wire_slot(key);
         self.wires[idx].get_or_insert_with(Engine::new)
     }
 
@@ -462,9 +466,9 @@ impl GpuRuntime {
 
     /// Cold path: render a host-side synchronize span.
     #[cold]
-    fn trace_host_sync(&mut self, wait_from: SimTime, now: SimTime) {
+    fn trace_host_sync(&mut self, name: &'static str, wait_from: SimTime, now: SimTime) {
         self.trace_span(
-            "stream sync",
+            name,
             "host",
             "host".to_string(),
             wait_from,
@@ -744,7 +748,7 @@ impl GpuRuntime {
         let now = self.clock.advance(sync);
         self.engine(s)?.retire_until(now);
         if self.trace.is_some() {
-            self.trace_host_sync(wait_from, now);
+            self.trace_host_sync("stream sync", wait_from, now);
         }
         if let Some(ch) = &mut self.checks {
             ch.host_join_stream((s.device.index(), s.idx));
@@ -759,6 +763,7 @@ impl GpuRuntime {
         let dev = self.current;
         let m = self.model(dev)?;
         let sync = self.jittered(dev, m.sync_overhead);
+        let wait_from = self.clock.now();
         let tail = self.streams[dev.index()]
             .iter()
             .map(|e| e.busy_until())
@@ -769,10 +774,159 @@ impl GpuRuntime {
         for e in &mut self.streams[dev.index()] {
             e.retire_until(now);
         }
+        if self.trace.is_some() {
+            self.trace_host_sync("device sync", wait_from, now);
+        }
         if let Some(ch) = &mut self.checks {
             ch.host_join_device(dev.index());
         }
         Ok(())
+    }
+
+    /// True when every call must go through the per-op methods: a trace
+    /// records a span per op and the sanitizer ticks its clocks per op.
+    fn per_op_only(&self) -> bool {
+        self.trace.is_some() || self.checks.is_some()
+    }
+
+    /// Run `n` iterations of `step`, fast-forwarding the batch once it is
+    /// in steady state.
+    ///
+    /// Times are integer picoseconds and every cost is scaled by the one
+    /// `run_factor`, so an iteration that starts with the engines it
+    /// touches idle (`steady`) leaves them idle again, and each later
+    /// iteration is the same translation Δ of it. Once such an iteration
+    /// has run through `step`, the remaining `k` are applied at once: the
+    /// clock moves by k·Δ and `fast_forward(self, k·Δ, k)` moves the
+    /// touched engines' tails and counters. Iterations that do not start
+    /// steady, and every iteration of a traced or checked run, go through
+    /// `step`, so the per-op methods stay the only definition of timing.
+    fn repeat_steady(
+        &mut self,
+        n: u64,
+        steady: impl Fn(&Self) -> bool,
+        mut step: impl FnMut(&mut Self) -> Result<(), GpuError>,
+        fast_forward: impl FnOnce(&mut Self, SimDuration, u64),
+    ) -> Result<(), GpuError> {
+        let mut left = n;
+        while left > 0 {
+            let translate = !self.per_op_only() && steady(self);
+            let t0 = self.clock.now();
+            step(self)?;
+            left -= 1;
+            if translate && left > 0 {
+                let shift = self.clock.now().since(t0) * left;
+                self.clock.advance(shift);
+                fast_forward(self, shift, left);
+                return Ok(());
+            }
+        }
+        Ok(())
+    }
+
+    /// `n` back-to-back [`Self::launch_empty`] calls on `s`, leaving the
+    /// runtime in exactly the state the loop would.
+    ///
+    /// The stream's queue grows while a batch runs whenever a kernel body
+    /// outlasts its launch, so there is no steady state to translate.
+    /// Instead one per-op launch measures the launch cost `L` and body
+    /// `B`, and the other `m = n - 1` follow in closed form from the clock
+    /// `t` and stream tail `b ≥ t + B` it leaves: launch `i` issues at
+    /// `t + i·L`, so the tail becomes `max(b + m·B, t + m·L + B)` (the
+    /// backlog drains back to back, or the last launch finds it drained)
+    /// and the clock `t + m·L`.
+    // doebench::hot
+    pub fn repeat_launch_empty(&mut self, s: &StreamHandle, n: u64) -> Result<(), GpuError> {
+        if n == 0 || self.per_op_only() {
+            for _ in 0..n {
+                self.launch_empty(s)?;
+            }
+            return Ok(());
+        }
+        let t0 = self.clock.now();
+        let b0 = self.engine(s).map_or(SimTime::ZERO, |e| e.busy_until());
+        self.launch_empty(s)?;
+        let m = n - 1;
+        let t = self.clock.now();
+        let e = self.engine(s)?;
+        let b = e.busy_until();
+        let launch = t.since(t0);
+        let body = b.since(t.max(b0));
+        let tail = (b + body * m).max(t + launch * m + body);
+        e.occupy_batch_until(tail, m);
+        self.clock.advance(launch * m);
+        Ok(())
+    }
+
+    /// `n` back-to-back [`Self::device_synchronize`] calls on the current
+    /// device, leaving the runtime in exactly the state the loop would.
+    /// Once one call starts with the device's streams drained, each later
+    /// call only advances the clock by the synchronize handshake.
+    // doebench::hot
+    pub fn repeat_device_synchronize(&mut self, n: u64) -> Result<(), GpuError> {
+        let dev = self.current.index();
+        self.repeat_steady(
+            n,
+            |rt| {
+                let now = rt.clock.now();
+                rt.streams[dev].iter().all(|e| e.is_idle_at(now))
+            },
+            Self::device_synchronize,
+            |_, _, _| {},
+        )
+    }
+
+    /// `n` iterations of [`Self::memcpy_async`] then
+    /// [`Self::stream_synchronize`] on `s` (Comm|Scope's invoke-and-complete
+    /// copy loop), leaving the runtime in exactly the state the loop would.
+    /// Once an iteration starts with `s` and the copy's bottleneck wire
+    /// idle, each later one shifts the clock and both tails by the same Δ.
+    // doebench::hot
+    pub fn repeat_memcpy_sync(
+        &mut self,
+        dst: &Buffer,
+        src: &Buffer,
+        bytes: u64,
+        s: &StreamHandle,
+        n: u64,
+    ) -> Result<(), GpuError> {
+        // An invalid copy never counts as steady; its error surfaces from
+        // the first per-op call.
+        let wire = self
+            .copy_parts(dst.loc, src.loc, bytes, s.device)
+            .map(|p| p.wire.map(|key| self.wire_slot(key)));
+        self.repeat_steady(
+            n,
+            |rt| {
+                let now = rt.clock.now();
+                let stream_idle = rt
+                    .streams
+                    .get(s.device.index())
+                    .and_then(|lanes| lanes.get(s.idx))
+                    .is_some_and(|e| e.is_idle_at(now));
+                let wire_idle = match wire {
+                    Ok(Some(slot)) => rt.wires[slot].as_ref().is_none_or(|w| w.is_idle_at(now)),
+                    Ok(None) => true,
+                    Err(_) => false,
+                };
+                stream_idle && wire_idle
+            },
+            |rt| {
+                rt.memcpy_async(dst, src, bytes, s)?;
+                rt.stream_synchronize(s)
+            },
+            |rt, shift, k| {
+                let now = rt.clock.now();
+                let stream = &mut rt.streams[s.device.index()][s.idx];
+                stream.occupy_batch_until(stream.busy_until() + shift, k);
+                stream.retire_until(now);
+                if let Ok(Some(slot)) = wire {
+                    if let Some(w) = rt.wires[slot].as_mut() {
+                        w.occupy_batch_until(w.busy_until() + shift, k);
+                    }
+                }
+            },
+        )
     }
 
     /// Record an event on `s`: it completes when everything already
@@ -836,6 +990,7 @@ mod tests {
     use super::*;
     use crate::testkit;
     use doe_topo::NumaId;
+    use proptest::prelude::*;
 
     #[test]
     fn launch_costs_only_submission() {
@@ -1130,12 +1285,22 @@ mod tests {
         rt.launch_empty(&s).unwrap();
         rt.memcpy_async(&dev, &host, 4096, &s).unwrap();
         rt.stream_synchronize(&s).unwrap();
+        rt.launch_empty(&s).unwrap();
+        rt.device_synchronize().unwrap();
         let trace = rt.take_trace().expect("tracing was enabled");
-        assert!(trace.len() >= 4, "spans: {}", trace.len());
+        assert!(trace.len() >= 6, "spans: {}", trace.len());
         let json = trace.to_chrome_json();
         assert!(json.contains("empty kernel"));
         assert!(json.contains("memcpy 4096B"));
         assert!(json.contains("stream sync"));
+        // The host's wait for the device is a span of its own.
+        let device_sync = trace
+            .spans()
+            .iter()
+            .find(|span| span.name == "device sync")
+            .expect("device sync span");
+        assert_eq!(device_sync.category, "host");
+        assert!(!device_sync.duration.is_zero());
         // Wire track named after the directed link.
         assert!(json.contains("numa0 -> gpu0"));
         // Tracing off by default and after take.
@@ -1293,5 +1458,244 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    /// Everything a repeat call may touch: the clock and every stream and
+    /// wire engine's tail and counters.
+    fn state(rt: &GpuRuntime) -> (SimTime, Vec<Vec<Engine>>, Vec<Option<Engine>>) {
+        (rt.now(), rt.streams.clone(), rt.wires.clone())
+    }
+
+    /// The operation a repeat batch runs on the default stream of device 0.
+    #[derive(Clone, Copy, Debug)]
+    enum RepeatOp {
+        Launch,
+        DeviceSync,
+        H2d,
+        D2h,
+        Peer,
+        IntraDevice,
+        PageableH2d,
+    }
+
+    /// What is already in flight when the batch starts.
+    #[derive(Clone, Copy, Debug)]
+    enum Backlog {
+        None,
+        /// Kernels queued on the batch's own stream.
+        QueuedKernels,
+        /// Another stream's host-to-device copy on the host link.
+        H2dOnOtherStream,
+        /// Another stream's device-to-host copy on the host link.
+        D2hOnOtherStream,
+        /// Another stream writing the batch's copy destination unordered
+        /// (a race the sanitizer reports).
+        RacyWrite,
+    }
+
+    /// Whether the runtime records a trace, runs the sanitizer, or neither.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Mode {
+        Plain,
+        Traced,
+        Checked,
+    }
+
+    struct RepeatCase {
+        rt: GpuRuntime,
+        s: StreamHandle,
+        dst: Buffer,
+        src: Buffer,
+        bytes: u64,
+    }
+
+    /// Two identical dual-GPU runtimes — the oracle's and the batch's —
+    /// with a forced common-mode factor and kernel body, sharing buffers
+    /// and with the backlog already submitted, ready to run `op`.
+    fn repeat_pair(
+        seed: u64,
+        factor: f64,
+        body_us: f64,
+        op: RepeatOp,
+        backlog: Backlog,
+        mode: Mode,
+    ) -> [RepeatCase; 2] {
+        let dev = DeviceId(0);
+        let host = Buffer::pinned_host(NumaId(0), 1 << 24);
+        let local = Buffer::device(dev, 1 << 24);
+        let (dst, src, bytes) = match op {
+            RepeatOp::Launch | RepeatOp::DeviceSync | RepeatOp::H2d => (local, host, 128),
+            RepeatOp::D2h => (host, local, 128),
+            RepeatOp::Peer => (Buffer::device(DeviceId(1), 1 << 24), local, 4096),
+            RepeatOp::IntraDevice => (Buffer::device(dev, 1 << 24), local, 1 << 16),
+            RepeatOp::PageableH2d => (local, Buffer::pageable_host(NumaId(0), 1 << 24), 128),
+        };
+        let other_host = Buffer::pinned_host(NumaId(0), 1 << 24);
+        let other_dev = Buffer::device(dev, 1 << 24);
+        let build = || {
+            let mut rt = testkit::dual_gpu_runtime_with_seed(seed);
+            rt.run_factor = factor;
+            rt.models[0].empty_kernel_time = SimDuration::from_us(body_us);
+            match mode {
+                Mode::Plain => {}
+                Mode::Traced => rt.enable_tracing(),
+                Mode::Checked => rt.enable_checks(),
+            }
+            let s = rt.default_stream(dev).unwrap();
+            let other = rt.create_stream(dev).unwrap();
+            match backlog {
+                Backlog::None => {}
+                Backlog::QueuedKernels => {
+                    for i in 1..4 {
+                        rt.launch_kernel(&s, SimDuration::from_us(body_us * i as f64))
+                            .unwrap();
+                    }
+                }
+                Backlog::H2dOnOtherStream => {
+                    rt.memcpy_async(&other_dev, &other_host, 1 << 22, &other)
+                        .unwrap();
+                }
+                Backlog::D2hOnOtherStream => {
+                    rt.memcpy_async(&other_host, &other_dev, 1 << 22, &other)
+                        .unwrap();
+                }
+                Backlog::RacyWrite => {
+                    let from = match dst.loc {
+                        MemLoc::Host { .. } => &other_dev,
+                        MemLoc::Device(_) => &other_host,
+                    };
+                    rt.memcpy_async(&dst, from, 1 << 20, &other).unwrap();
+                }
+            }
+            RepeatCase {
+                rt,
+                s,
+                dst,
+                src,
+                bytes,
+            }
+        };
+        [build(), build()]
+    }
+
+    impl RepeatCase {
+        /// The oracle: `n` single calls.
+        fn run_per_op(&mut self, op: RepeatOp, n: u64) {
+            let Self {
+                rt,
+                s,
+                dst,
+                src,
+                bytes,
+            } = self;
+            for _ in 0..n {
+                match op {
+                    RepeatOp::Launch => rt.launch_empty(s).unwrap(),
+                    RepeatOp::DeviceSync => rt.device_synchronize().unwrap(),
+                    _ => {
+                        rt.memcpy_async(dst, src, *bytes, s).unwrap();
+                        rt.stream_synchronize(s).unwrap();
+                    }
+                }
+            }
+        }
+
+        fn run_repeat(&mut self, op: RepeatOp, n: u64) {
+            let Self {
+                rt,
+                s,
+                dst,
+                src,
+                bytes,
+            } = self;
+            match op {
+                RepeatOp::Launch => rt.repeat_launch_empty(s, n).unwrap(),
+                RepeatOp::DeviceSync => rt.repeat_device_synchronize(n).unwrap(),
+                _ => rt.repeat_memcpy_sync(dst, src, *bytes, s, n).unwrap(),
+            }
+        }
+    }
+
+    fn batch_len() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(1u64), Just(2u64), 3u64..10_001]
+    }
+
+    const REPEAT_OPS: [RepeatOp; 7] = [
+        RepeatOp::Launch,
+        RepeatOp::DeviceSync,
+        RepeatOp::H2d,
+        RepeatOp::D2h,
+        RepeatOp::Peer,
+        RepeatOp::IntraDevice,
+        RepeatOp::PageableH2d,
+    ];
+
+    const BACKLOGS: [Backlog; 5] = [
+        Backlog::None,
+        Backlog::QueuedKernels,
+        Backlog::H2dOnOtherStream,
+        Backlog::D2hOnOtherStream,
+        Backlog::RacyWrite,
+    ];
+
+    #[test]
+    fn repeat_calls_equal_single_call_loops_on_short_batches() {
+        // Every op, backlog and batch length up to 3, with kernel bodies
+        // shorter and longer than the launch cost (2 us in the testkit).
+        for op in REPEAT_OPS {
+            for backlog in BACKLOGS {
+                for body_us in [0.5, 2.0, 3.5] {
+                    for n in 0..4 {
+                        let [mut oracle, mut batched] =
+                            repeat_pair(9, 1.0, body_us, op, backlog, Mode::Plain);
+                        oracle.run_per_op(op, n);
+                        batched.run_repeat(op, n);
+                        assert_eq!(
+                            state(&batched.rt),
+                            state(&oracle.rt),
+                            "{op:?} after {backlog:?}, body {body_us} us, n={n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// Every repeat method leaves the runtime in exactly the state of
+        /// `n` single calls — clock, every stream and wire tail, inflight
+        /// and completed counters — and a traced or checked runtime records
+        /// the same spans and findings as the loop.
+        #[test]
+        fn repeat_calls_equal_single_call_loops(
+            (seed, factor, body_us) in (any::<u64>(), 0.05f64..3.0, 0.1f64..6.0),
+            op in prop::sample::select(REPEAT_OPS.to_vec()),
+            backlog in prop::sample::select(BACKLOGS.to_vec()),
+            n in batch_len(),
+            mode in prop::sample::select(vec![Mode::Plain, Mode::Plain, Mode::Traced, Mode::Checked]),
+        ) {
+            let [mut oracle, mut batched] = repeat_pair(seed, factor, body_us, op, backlog, mode);
+            oracle.run_per_op(op, n);
+            batched.run_repeat(op, n);
+            prop_assert_eq!(state(&batched.rt), state(&oracle.rt), "{op:?} after {backlog:?}, n={n}, {mode:?}");
+            prop_assert_eq!(batched.rt.check_findings(), oracle.rt.check_findings());
+            let spans = |c: &mut RepeatCase| c.rt.take_trace().map(|t| t.to_chrome_json());
+            prop_assert_eq!(spans(&mut batched), spans(&mut oracle));
+        }
+    }
+
+    #[test]
+    fn repeat_calls_fast_forward_in_constant_time() {
+        // 10^11 iterations would take hours one by one; the fast paths
+        // land on the clock one measured iteration predicts.
+        const N: u64 = 100_000_000_000;
+        for op in [RepeatOp::Launch, RepeatOp::DeviceSync, RepeatOp::H2d] {
+            let [mut one, mut many] = repeat_pair(5, 1.0, 0.5, op, Backlog::None, Mode::Plain);
+            one.run_repeat(op, 1);
+            many.run_repeat(op, N);
+            let per = one.rt.now().since(SimTime::ZERO);
+            assert_eq!(many.rt.now(), SimTime::ZERO + per * N, "{op:?}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 use doe_simtime::{SimDuration, SimTime};
 
 /// An in-order execution engine (a stream or a copy engine).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Engine {
     busy_until: SimTime,
     inflight: usize,
@@ -41,8 +41,16 @@ impl Engine {
     /// this engine's current command finishes). Never moves the tail
     /// backwards.
     pub fn occupy_until(&mut self, end: SimTime) {
+        self.occupy_batch_until(end, 1);
+    }
+
+    /// [`Engine::occupy_until`] for `commands` commands at once, the last
+    /// of which completes at `end`: the bulk form behind the runtime's
+    /// repeated-operation fast paths, which compute a batch's tail in
+    /// closed form instead of submitting it command by command.
+    pub fn occupy_batch_until(&mut self, end: SimTime, commands: u64) {
         self.busy_until = self.busy_until.max(end);
-        self.inflight += 1;
+        self.inflight += commands as usize;
     }
 
     /// Push the tail forward without enqueuing a command — a pure

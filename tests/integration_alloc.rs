@@ -263,6 +263,10 @@ fn gpurt_phase() -> u64 {
         rt.memcpy_async(&peer, &dev, 4096, &s).expect("d2d");
         rt.memcpy_async(&host, &peer, 4096, &s).expect("d2h");
         rt.stream_synchronize(&s).expect("sync");
+        rt.repeat_launch_empty(&s, 64).expect("launch batch");
+        rt.repeat_device_synchronize(64).expect("sync batch");
+        rt.repeat_memcpy_sync(&dev, &host, 128, &s, 64)
+            .expect("copy batch");
     }
     alloc_delta(|| {
         // Steady state: the commscope memcpy inner loop shape.
@@ -271,6 +275,13 @@ fn gpurt_phase() -> u64 {
             rt.memcpy_async(&peer, &dev, 4096, &s).expect("d2d");
             rt.memcpy_async(&host, &peer, 4096, &s).expect("d2h");
             rt.stream_synchronize(&s).expect("sync");
+        }
+        // The batched forms behind Comm|Scope's adaptive closures.
+        for n in [1, 2, 1_000] {
+            rt.repeat_launch_empty(&s, n).expect("launch batch");
+            rt.repeat_device_synchronize(n).expect("sync batch");
+            rt.repeat_memcpy_sync(&dev, &host, 128, &s, n)
+                .expect("copy batch");
         }
     })
 }
