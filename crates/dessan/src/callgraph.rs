@@ -1,5 +1,7 @@
-//! A workspace-wide, heuristically name-resolved call graph, and the
-//! transitive hot-path-alloc walk that runs on top of it.
+//! The workspace call graph: parsed files, a heuristically name-resolved
+//! call index, and every fn's call sites resolved once per lint run
+//! ([`Workspace`]). The workspace passes (taint, effects, locks, key
+//! coverage) all read this one graph.
 //!
 //! Resolution is deliberately conservative — the goal is a useful gate
 //! with near-zero false positives, not a compiler:
@@ -14,20 +16,20 @@
 //!   one workspace fn bears the name and the name is not a common std
 //!   method (`push`, `get`, `iter`, ...).
 //!
-//! Unresolved calls produce no edge. Edges are cut by a
-//! `// doebench::cold-call` marker at the call site and never enter
-//! `#[cold]` or test functions.
+//! Unresolved calls produce no edge, and no edge enters a `#[cold]` or
+//! test function. A `// doebench::cold-call` marker at the call site
+//! flags the edge as cold; the effect walk ([`crate::effects`]) skips it.
 
 use std::collections::BTreeMap;
 
-use crate::items::FileItems;
+use crate::items::{FileItems, FnItem};
 use crate::lex::{TokKind, Token};
-use crate::lint::{LintFinding, Rule};
+use crate::lint::crate_of;
 
 /// One allocation site inside a function body.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Alloc {
-    /// The offending token, in the same spelling the direct rule reports.
+    /// The offending token, as findings spell it (`vec!`, `.clone()`, …).
     pub token: &'static str,
     /// 1-based line.
     pub line: usize,
@@ -162,8 +164,8 @@ const NON_CALLEES: [&str; 36] = [
     "true", "false",
 ];
 
-/// Scan a body's token range for per-call allocation sites. The token
-/// spellings match the direct `hot-path-alloc` rule's vocabulary.
+/// Scan a body's token range for per-call allocation sites: the
+/// `hot-path-alloc` vocabulary and the `alloc` effect.
 pub fn body_allocs(src: &str, tokens: &[Token], range: std::ops::Range<usize>) -> Vec<Alloc> {
     let code: Vec<usize> = range.filter(|&i| tokens[i].kind.is_code()).collect();
     let tk = |k: usize| -> (&TokKind, &str) { (&tokens[code[k]].kind, tokens[code[k]].text(src)) };
@@ -275,245 +277,224 @@ pub struct WsFile {
     pub items: FileItems,
 }
 
+impl WsFile {
+    /// The text of token `tok`.
+    pub fn text(&self, tok: usize) -> &str {
+        self.tokens[tok].text(&self.src)
+    }
+
+    /// The 1-based line of token `tok`.
+    pub fn line(&self, tok: usize) -> usize {
+        self.tokens[tok].line
+    }
+
+    /// The code tokens of `range`: comments and whitespace dropped.
+    pub fn code(&self, range: std::ops::Range<usize>) -> Vec<usize> {
+        range.filter(|&i| self.tokens[i].kind.is_code()).collect()
+    }
+
+    /// Is token `tok` an identifier (raw or not)?
+    pub fn is_ident(&self, tok: usize) -> bool {
+        matches!(self.tokens[tok].kind, TokKind::Ident | TokKind::RawIdent)
+    }
+}
+
 /// `(file index, fn index)` node id.
 pub type Node = (usize, usize);
 
-/// The crate a workspace-relative path belongs to.
-fn crate_of(path: &str) -> &str {
-    path.strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("")
+/// Every non-test fn with a body in `files`, in `(file, fn)` order.
+fn fns(files: &[WsFile]) -> impl Iterator<Item = (Node, &FnItem)> {
+    files.iter().enumerate().flat_map(|(fi, file)| {
+        file.items
+            .fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| !f.in_test && !f.body_tokens.is_empty())
+            .map(move |(gi, f)| ((fi, gi), f))
+    })
 }
 
-/// Name indices over a workspace's non-test, non-cold fns with bodies —
-/// the shared resolution substrate for the transitive hot-path walk and
-/// the interprocedural taint analysis. Deliberately under-approximate:
-/// a call that cannot be resolved confidently resolves to nothing.
-pub struct CallIndex<'a> {
+/// Name indices over a workspace's non-test, non-cold fns with bodies.
+/// Deliberately under-approximate: a call that cannot be resolved
+/// confidently resolves to nothing.
+struct CallIndex<'a> {
     by_name: BTreeMap<&'a str, Vec<Node>>,
     by_qual: BTreeMap<(&'a str, &'a str), Vec<Node>>,
 }
 
 impl<'a> CallIndex<'a> {
     /// Index every candidate callee in `files`.
-    pub fn build(files: &'a [WsFile]) -> Self {
+    fn build(files: &'a [WsFile]) -> Self {
         let mut by_name: BTreeMap<&str, Vec<Node>> = BTreeMap::new();
         let mut by_qual: BTreeMap<(&str, &str), Vec<Node>> = BTreeMap::new();
-        for (fi, file) in files.iter().enumerate() {
-            for (gi, f) in file.items.fns.iter().enumerate() {
-                if f.in_test || f.cold || f.body_tokens.is_empty() {
-                    continue;
-                }
-                by_name.entry(&f.name).or_default().push((fi, gi));
-                if let Some(q) = &f.qual {
-                    by_qual.entry((q, &f.name)).or_default().push((fi, gi));
-                }
+        for (node, f) in fns(files).filter(|(_, f)| !f.cold) {
+            by_name.entry(&f.name).or_default().push(node);
+            if let Some(q) = &f.qual {
+                by_qual.entry((q, &f.name)).or_default().push(node);
             }
         }
         CallIndex { by_name, by_qual }
     }
+}
+
+/// One call site of a workspace fn, resolved.
+#[derive(Clone, Debug)]
+pub struct Site {
+    /// The call as written.
+    pub call: Call,
+    /// Candidate callees, possibly empty (the caller itself included when
+    /// it recurses).
+    pub targets: Vec<Node>,
+    /// A `// doebench::cold-call` marker cuts this edge.
+    pub cold: bool,
+}
+
+/// The analyzed workspace: its files, the name index over their fns, and
+/// every analyzable fn's call sites, resolved once. Built once per lint
+/// run and read by every workspace pass.
+pub struct Workspace<'a> {
+    /// The files; a [`Node`]'s first index points into this slice.
+    pub files: &'a [WsFile],
+    index: CallIndex<'a>,
+    sites: BTreeMap<Node, Vec<Site>>,
+}
+
+impl<'a> Workspace<'a> {
+    /// Index `files` and resolve the call sites of every fn in [`Self::fns`].
+    pub fn build(files: &'a [WsFile]) -> Self {
+        let mut ws = Workspace {
+            files,
+            index: CallIndex::build(files),
+            sites: BTreeMap::new(),
+        };
+        ws.sites = ws
+            .fns()
+            .map(|(node, f)| {
+                let file = &files[node.0];
+                let calls = body_calls(&file.src, &file.tokens, f.body_tokens.clone());
+                let sites = calls.into_iter().map(|call| Site {
+                    targets: ws.resolve(&call, node),
+                    cold: file.items.cold_call_at(call.line),
+                    call,
+                });
+                (node, sites.collect())
+            })
+            .collect();
+        ws
+    }
+
+    /// Every non-test fn with a body, in `(file, fn)` order: the nodes
+    /// the workspace passes analyze.
+    pub fn fns(&self) -> impl Iterator<Item = (Node, &'a FnItem)> + 'a {
+        fns(self.files)
+    }
+
+    /// The call sites of `node` in source order (empty for fns outside
+    /// [`Self::fns`]).
+    pub fn sites(&self, node: Node) -> &[Site] {
+        self.sites.get(&node).map_or(&[], Vec::as_slice)
+    }
 
     /// Resolve one call site to candidate workspace fns (possibly empty).
-    pub fn resolve(&self, call: &Call, caller: Node, files: &[WsFile]) -> Vec<Node> {
-        resolve(call, caller, files, &self.by_name, &self.by_qual)
-    }
-}
-
-/// Walk the call graph from every hot root and report allocating callees
-/// any depth away. Waivers for `hot-path-alloc-transitive` at the root's
-/// call site (or file-wide in the root's file) suppress the finding.
-pub fn transitive_findings(files: &[WsFile]) -> Vec<LintFinding> {
-    let index = CallIndex::build(files);
-
-    // Per-node call edges and allocation sites.
-    let mut edges: BTreeMap<Node, Vec<(Node, usize)>> = BTreeMap::new();
-    let mut allocs: BTreeMap<Node, Vec<Alloc>> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            let node = (fi, gi);
-            allocs.insert(
-                node,
-                body_allocs(&file.src, &file.tokens, f.body_tokens.clone()),
-            );
-            let mut es = Vec::new();
-            for call in body_calls(&file.src, &file.tokens, f.body_tokens.clone()) {
-                if file.items.cold_call_at(call.line) {
-                    continue;
-                }
-                for target in index.resolve(&call, node, files) {
-                    if target != node {
-                        es.push((target, call.line));
+    fn resolve(&self, call: &Call, caller: Node) -> Vec<Node> {
+        let files = self.files;
+        let (by_name, by_qual) = (&self.index.by_name, &self.index.by_qual);
+        let caller_fn = &files[caller.0].items.fns[caller.1];
+        let caller_path = &files[caller.0].path;
+        match (&call.qual, call.recv) {
+            (Some(q), _) => {
+                let q = if q == "Self" {
+                    match &caller_fn.qual {
+                        Some(t) => t.as_str(),
+                        None => return Vec::new(),
                     }
+                } else {
+                    q.as_str()
+                };
+                let typed = by_qual
+                    .get(&(q, call.name.as_str()))
+                    .cloned()
+                    .unwrap_or_default();
+                if !typed.is_empty() {
+                    return typed;
                 }
-            }
-            edges.insert(node, es);
-        }
-    }
-
-    // BFS from each hot root; report the first edge's call line so the
-    // finding points into the hot function itself.
-    let mut findings = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if !f.hot || f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            let root = (fi, gi);
-            // (node, first-hop line, path names)
-            let mut queue = std::collections::VecDeque::new();
-            let mut seen = std::collections::BTreeSet::new();
-            seen.insert(root);
-            for &(n, line) in edges.get(&root).into_iter().flatten() {
-                if seen.insert(n) {
-                    queue.push_back((n, line, vec![f.name.clone()]));
+                // A module-style path (`helpers::grow(...)`): fall back to
+                // free fns, same crate first, unless the qualifier is a std
+                // module (then the callee lives outside the workspace).
+                if STD_MODULES.contains(&q) {
+                    return Vec::new();
                 }
-            }
-            while let Some((node, first_line, path)) = queue.pop_front() {
-                let callee = &files[node.0].items.fns[node.1];
-                let mut chain = path.clone();
-                chain.push(callee.name.clone());
-                // A hot callee's own allocations are the direct rule's
-                // business; transitive findings cover what it cannot see.
-                if !callee.hot {
-                    if let Some(a) = allocs.get(&node).and_then(|v| v.first()) {
-                        if !file
-                            .items
-                            .waived(Rule::HotPathAllocTransitive.id(), first_line)
-                        {
-                            findings.push(LintFinding {
-                                rule: Rule::HotPathAllocTransitive,
-                                path: file.path.clone(),
-                                line: first_line,
-                                chain: chain.clone(),
-                                message: format!(
-                                    "hot fn `{}` reaches `{}` in `{}` ({}:{}) via {}; hoist the allocation or mark the call `// doebench::cold-call`",
-                                    f.name,
-                                    a.token,
-                                    callee.name,
-                                    files[node.0].path,
-                                    a.line,
-                                    chain.join(" -> "),
-                                ),
-                            });
-                        }
-                    }
+                let free: Vec<Node> = by_name
+                    .get(call.name.as_str())
+                    .into_iter()
+                    .flatten()
+                    .copied()
+                    .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
+                    .collect();
+                let same_crate: Vec<Node> = free
+                    .iter()
+                    .copied()
+                    .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
+                    .collect();
+                if !same_crate.is_empty() {
+                    return same_crate;
                 }
-                for &(n, _) in edges.get(&node).into_iter().flatten() {
-                    if seen.insert(n) {
-                        queue.push_back((n, first_line, chain.clone()));
-                    }
+                if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
+                    return free;
                 }
-            }
-        }
-    }
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    findings
-}
-
-/// Resolve one call site to candidate workspace fns.
-fn resolve(
-    call: &Call,
-    caller: Node,
-    files: &[WsFile],
-    by_name: &BTreeMap<&str, Vec<Node>>,
-    by_qual: &BTreeMap<(&str, &str), Vec<Node>>,
-) -> Vec<Node> {
-    let caller_fn = &files[caller.0].items.fns[caller.1];
-    let caller_path = &files[caller.0].path;
-    match (&call.qual, call.recv) {
-        (Some(q), _) => {
-            let q = if q == "Self" {
-                match &caller_fn.qual {
-                    Some(t) => t.as_str(),
-                    None => return Vec::new(),
-                }
-            } else {
-                q.as_str()
-            };
-            let typed = by_qual
-                .get(&(q, call.name.as_str()))
-                .cloned()
-                .unwrap_or_default();
-            if !typed.is_empty() {
-                return typed;
-            }
-            // A module-style path (`helpers::grow(...)`): fall back to
-            // free fns, same crate first, unless the qualifier is a std
-            // module (then the callee lives outside the workspace).
-            if STD_MODULES.contains(&q) {
-                return Vec::new();
-            }
-            let free: Vec<Node> = by_name
-                .get(call.name.as_str())
-                .into_iter()
-                .flatten()
-                .copied()
-                .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
-                .collect();
-            let same_crate: Vec<Node> = free
-                .iter()
-                .copied()
-                .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
-                .collect();
-            if !same_crate.is_empty() {
-                return same_crate;
-            }
-            if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
-                return free;
-            }
-            Vec::new()
-        }
-        (None, Recv::SelfDot) => {
-            let Some(q) = &caller_fn.qual else {
-                return Vec::new();
-            };
-            let all = by_qual
-                .get(&(q.as_str(), call.name.as_str()))
-                .cloned()
-                .unwrap_or_default();
-            let same_file: Vec<Node> = all.iter().copied().filter(|n| n.0 == caller.0).collect();
-            if same_file.is_empty() {
-                all
-            } else {
-                same_file
-            }
-        }
-        (None, Recv::Bare) => {
-            let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
-            let free: Vec<Node> = all
-                .iter()
-                .copied()
-                .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
-                .collect();
-            let same_file: Vec<Node> = free.iter().copied().filter(|n| n.0 == caller.0).collect();
-            if !same_file.is_empty() {
-                return same_file;
-            }
-            let same_crate: Vec<Node> = free
-                .iter()
-                .copied()
-                .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
-                .collect();
-            if !same_crate.is_empty() {
-                return same_crate;
-            }
-            if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
-                return free;
-            }
-            Vec::new()
-        }
-        (None, Recv::OtherDot) => {
-            if STD_METHODS.contains(&call.name.as_str()) {
-                return Vec::new();
-            }
-            let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
-            if all.len() == 1 {
-                all
-            } else {
                 Vec::new()
+            }
+            (None, Recv::SelfDot) => {
+                let Some(q) = &caller_fn.qual else {
+                    return Vec::new();
+                };
+                let all = by_qual
+                    .get(&(q.as_str(), call.name.as_str()))
+                    .cloned()
+                    .unwrap_or_default();
+                let same_file: Vec<Node> =
+                    all.iter().copied().filter(|n| n.0 == caller.0).collect();
+                if same_file.is_empty() {
+                    all
+                } else {
+                    same_file
+                }
+            }
+            (None, Recv::Bare) => {
+                let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
+                let free: Vec<Node> = all
+                    .iter()
+                    .copied()
+                    .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
+                    .collect();
+                let same_file: Vec<Node> =
+                    free.iter().copied().filter(|n| n.0 == caller.0).collect();
+                if !same_file.is_empty() {
+                    return same_file;
+                }
+                let same_crate: Vec<Node> = free
+                    .iter()
+                    .copied()
+                    .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
+                    .collect();
+                if !same_crate.is_empty() {
+                    return same_crate;
+                }
+                if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
+                    return free;
+                }
+                Vec::new()
+            }
+            (None, Recv::OtherDot) => {
+                if STD_METHODS.contains(&call.name.as_str()) {
+                    return Vec::new();
+                }
+                let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
+                if all.len() == 1 {
+                    all
+                } else {
+                    Vec::new()
+                }
             }
         }
     }
@@ -533,9 +514,24 @@ pub fn ws_file(path: &str, src: &str, extra_hot: &[String]) -> WsFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lint::{LintFinding, Rule};
+
+    // Call-graph reachability for `hot-path-alloc`: an allocation any
+    // depth below a hot fn is reported at the hot fn's own call line.
+
+    fn hot_allocs(files: &[WsFile]) -> Vec<LintFinding> {
+        crate::effects::findings(&Workspace::build(files))
+            .into_iter()
+            .filter(|f| f.rule == Rule::HotPathAlloc)
+            .collect()
+    }
 
     fn single(path: &str, src: &str) -> Vec<LintFinding> {
-        transitive_findings(&[ws_file(path, src, &[])])
+        hot_allocs(&[ws_file(path, src, &[])])
+    }
+
+    fn sites(f: &[LintFinding]) -> Vec<(&str, usize)> {
+        f.iter().map(|f| (f.path.as_str(), f.line)).collect()
     }
 
     #[test]
@@ -565,20 +561,15 @@ fn grow() {
     let _ = v;
 }
 ";
-        // The token-level engine sees no alloc inside the hot body...
-        assert!(crate::lint::lint_file("crates/x/src/lib.rs", src)
-            .iter()
-            .all(|f| f.rule != Rule::HotPathAlloc));
-        // ...the call-graph walk does, two levels down.
+        // Reported at the hot fn's call line, two levels above the site.
         let f = single("crates/x/src/lib.rs", src);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, Rule::HotPathAllocTransitive);
-        assert_eq!(f[0].line, 3);
+        assert_eq!(sites(&f), [("crates/x/src/lib.rs", 3)]);
         assert!(
             f[0].message.contains("pump -> step -> grow"),
             "{}",
             f[0].message
         );
+        assert_eq!(f[0].chain, ["pump", "step", "grow"]);
     }
 
     #[test]
@@ -630,7 +621,7 @@ impl Q {
 }
 ";
         let f = single("crates/x/src/lib.rs", src);
-        assert_eq!(f.len(), 1);
+        assert_eq!(sites(&f), [("crates/x/src/lib.rs", 5)]);
         assert!(f[0].message.contains("pump -> refill"), "{}", f[0].message);
     }
 
@@ -642,9 +633,7 @@ impl Q {
             ws_file("crates/x/src/a.rs", a, &[]),
             ws_file("crates/y/src/b.rs", b, &[]),
         ];
-        let f = transitive_findings(&files);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].path, "crates/x/src/a.rs");
+        assert_eq!(sites(&hot_allocs(&files)), [("crates/x/src/a.rs", 3)]);
     }
 
     #[test]
@@ -685,7 +674,7 @@ mod tests {
         let src = "\
 // doebench::hot
 fn pump() {
-    // dessan::allow(hot-path-alloc-transitive): warmup only, measured region excluded.
+    // dessan::allow(hot-path-alloc): warmup only, measured region excluded.
     grow();
 }
 fn grow() {

@@ -1,4 +1,5 @@
-//! Interprocedural effect summaries and declared effect contracts.
+//! Interprocedural effect summaries: declared effect contracts and the
+//! `hot-path-alloc` rule.
 //!
 //! A bottom-up fixpoint over the workspace call graph ([`crate::callgraph`])
 //! computes, for every function, the set of *observable effects* its
@@ -7,30 +8,39 @@
 //! | effect        | detected from                                           |
 //! |---------------|---------------------------------------------------------|
 //! | `alloc`       | the hot-path-alloc vocabulary (`Box::new`, `vec!`, …)   |
-//! | `wall-clock`  | `Instant::now` / `SystemTime::now`                      |
-//! | `rng`         | `thread_rng` / `rand::random`                           |
-//! | `env-read`    | `env::var` / `env::vars`                                |
-//! | `hash-iter`   | iteration methods in a body that names `HashMap`/`HashSet` |
+//! | `wall-clock`  | the wall-clock reads of [`SOURCES`]                     |
+//! | `rng`         | the unseeded-RNG reads of [`SOURCES`]                   |
+//! | `env-read`    | the environment reads of [`SOURCES`]                    |
+//! | `hash-iter`   | iteration methods in a fn that names `HashMap`/`HashSet` |
 //! | `locks`       | `.lock(` — mutex acquisition                            |
 //! | `blocks`      | `Condvar::wait` on a lock guard, `.join()`, `.recv()`, `thread::sleep` |
 //! | `io`          | `fs::` / `Command::` / socket and stdio handles         |
 //!
-//! Detection is token-level and deliberately conservative; resolution
-//! reuses the call graph's under-approximate name resolution, and a
-//! `// doebench::cold-call` marker cuts the walk at a call site exactly
-//! as it does for the transitive hot-path rule (the marked call is off
-//! the measured path).
+//! [`SOURCES`] is the one table of nondeterminism source patterns: the
+//! token rules of [`crate::lint`] and the taint sources of
+//! [`crate::taint`] match against it too. Detection is token-level and
+//! deliberately conservative; resolution reuses the call graph's
+//! under-approximate name resolution, and a `// doebench::cold-call`
+//! marker cuts the walk at a call site (the marked call is off the
+//! measured path), as `#[cold]` cuts it at a callee.
 //!
-//! The point of the summaries is *declared contracts*: a
-//! `// doebench::effects(pure)` marker before a `fn` forbids every
-//! effect except allocation in the fn's whole call closure (allocation
-//! is deterministic — it cannot change a result, only its cost, and the
-//! hot-path rules already police cost), and
-//! `// doebench::effects(no-block)` forbids OS-level blocking (`blocks`)
-//! — the contract the shard-engine lane bodies and the query cells rely
-//! on. A violation reports the full call chain from the contract fn to
-//! the effect site and is waived with
-//! `// dessan::allow(effect-contract): <reason>` at the contract fn.
+//! The summaries serve two checks:
+//!
+//! * **Declared contracts.** A `// doebench::effects(pure)` marker before
+//!   a `fn` forbids every effect except allocation in the fn's whole call
+//!   closure (allocation is deterministic — it cannot change a result,
+//!   only its cost, which `hot-path-alloc` polices), and
+//!   `// doebench::effects(no-block)` forbids OS-level blocking
+//!   (`blocks`) — the contract the shard-engine lane bodies and the query
+//!   cells rely on. A violation reports the full call chain from the
+//!   contract fn to the effect site and is waived with
+//!   `// dessan::allow(effect-contract): <reason>` at the contract fn.
+//! * **`hot-path-alloc`.** Every allocating line inside a
+//!   `// doebench::hot` body is reported, and so is every call line of a
+//!   hot body whose callee's summary holds `alloc`, with the
+//!   `root -> … -> site` chain. A hot fn's own allocations stay out of
+//!   its summary: they are reported inside it, once, not again at each
+//!   caller.
 //!
 //! The `blocks` effect discriminates a `Condvar::wait(guard)` from the
 //! simulated `world.wait(req)` of the MPI runtime by requiring the
@@ -38,16 +48,17 @@
 //! body — simulated waits advance virtual time and are exactly what
 //! `no-block` code is supposed to do instead of parking the OS thread.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{body_allocs, body_calls, CallIndex, Node, WsFile};
+use crate::callgraph::{body_allocs, Node, Workspace, WsFile};
+use crate::items::FnItem;
 use crate::lex::TokKind;
 use crate::lint::{LintFinding, Rule};
 
 /// One observable effect class.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Effect {
-    /// Heap allocation (permitted under `pure`; the hot-path rules own it).
+    /// Heap allocation (permitted under `pure`; `hot-path-alloc` owns it).
     Alloc,
     /// Host wall-clock read.
     WallClock,
@@ -81,6 +92,83 @@ impl Effect {
     }
 }
 
+/// One nondeterminism source pattern.
+pub struct Source {
+    /// The token rule that flags every occurrence; its id is also the
+    /// taint origin class.
+    pub rule: Rule,
+    /// Is the pattern itself a read, not a name that only marks the
+    /// hazard (an import path, a hash container type)?
+    pub read: bool,
+    /// The path as findings spell it. Its code tokens are the pattern
+    /// (`::` lexes as two `:` tokens).
+    pub text: &'static str,
+}
+
+const fn source(rule: Rule, read: bool, text: &'static str) -> Source {
+    Source { rule, read, text }
+}
+
+/// The nondeterminism source patterns, in report priority order.
+pub const SOURCES: [Source; 10] = [
+    source(Rule::WallClock, false, "std::time::Instant"),
+    source(Rule::WallClock, false, "std::time::SystemTime"),
+    source(Rule::WallClock, true, "Instant::now"),
+    source(Rule::WallClock, true, "SystemTime::now"),
+    source(Rule::AdHocRng, true, "thread_rng"),
+    source(Rule::AdHocRng, true, "rand::random"),
+    source(Rule::EnvRead, true, "env::var"),
+    source(Rule::EnvRead, true, "env::vars"),
+    source(Rule::HashOrder, false, "HashMap"),
+    source(Rule::HashOrder, false, "HashSet"),
+];
+
+impl Source {
+    /// Does the pattern start at code token `k`, reading code-token texts
+    /// through `text`?
+    pub fn at<'t>(&self, k: usize, text: impl Fn(usize) -> Option<&'t str>) -> bool {
+        // Cheap reject first: token `k` must be the whole first segment.
+        let head = |t: &str| {
+            let end = self.text.as_bytes().get(t.len());
+            end.is_none_or(|&b| b == b':') && self.text.starts_with(t)
+        };
+        text(k).is_some_and(head)
+            && self.text.split("::").enumerate().all(|(n, seg)| {
+                let i = k + 3 * n;
+                (n == 0 || (text(i - 2), text(i - 1)) == (Some(":"), Some(":")))
+                    && text(i) == Some(seg)
+            })
+    }
+
+    /// The effect of a read; `None` for a name.
+    pub fn effect(&self) -> Option<Effect> {
+        match self.rule {
+            _ if !self.read => None,
+            Rule::WallClock => Some(Effect::WallClock),
+            Rule::AdHocRng => Some(Effect::Rng),
+            _ => Some(Effect::EnvRead),
+        }
+    }
+}
+
+/// Does `text` name a hash container (`HashMap`/`HashSet`)?
+pub(crate) fn is_hash_container(text: &str) -> bool {
+    SOURCES
+        .iter()
+        .any(|s| s.rule == Rule::HashOrder && s.text == text)
+}
+
+/// Methods whose call on a hash container iterates in hash order.
+pub(crate) const HASH_ITER_METHODS: [&str; 7] = [
+    "iter",
+    "iter_mut",
+    "keys",
+    "values",
+    "values_mut",
+    "into_iter",
+    "drain",
+];
+
 /// Where an effect in a summary comes from: a description of the concrete
 /// site and the call chain from the summary's owner down to it.
 #[derive(Clone, Debug)]
@@ -95,6 +183,18 @@ pub struct Origin {
 /// Longest chain kept in an [`Origin`]; deeper chains are truncated with
 /// the site description still exact.
 pub const CHAIN_CAP: usize = 12;
+
+impl Origin {
+    /// The same site seen from `caller`, one call above the chain's head.
+    fn called_from(&self, caller: &str) -> Origin {
+        let mut chain = vec![caller.to_string()];
+        chain.extend(self.chain.iter().take(CHAIN_CAP - 1).cloned());
+        Origin {
+            desc: self.desc.clone(),
+            chain,
+        }
+    }
+}
 
 /// A function's effect summary: each effect present maps to the first
 /// (deterministically chosen) origin that introduced it.
@@ -137,72 +237,59 @@ pub(crate) fn guard_vars(texts: &[&str], kinds: &[TokKind]) -> Vec<String> {
     out
 }
 
-/// The effects a single body exhibits directly, with their sites.
-/// `sig_line` widens only the hash-container name scan to the signature,
-/// where the container type usually appears (`m: &HashMap<..>`).
-fn direct_effects(
-    file: &WsFile,
-    sig_line: usize,
-    body: std::ops::Range<usize>,
-) -> Vec<(Effect, String, usize)> {
+/// The effects a single fn's body exhibits directly, with their sites.
+/// A hot fn's own allocations are left out (see the module docs). The
+/// hash-container name scan also covers the signature, where the
+/// container type usually appears (`m: &HashMap<..>`).
+fn direct_effects(file: &WsFile, f: &FnItem) -> Vec<(Effect, String)> {
     let src = &file.src;
     let tokens = &file.tokens;
-    let code: Vec<usize> = body.clone().filter(|&i| tokens[i].kind.is_code()).collect();
+    let body = f.body_tokens.clone();
+    let code = file.code(body.clone());
     let texts: Vec<&str> = code.iter().map(|&i| tokens[i].text(src)).collect();
     let kinds: Vec<TokKind> = code.iter().map(|&i| tokens[i].kind).collect();
     let line_of = |k: usize| tokens[code[k]].line;
     let seq_at = |k: usize, pat: &[&str]| {
         k + pat.len() <= texts.len() && (0..pat.len()).all(|j| texts[k + j] == pat[j])
     };
-    let mut out: Vec<(Effect, String, usize)> = Vec::new();
+    let mut out: Vec<(Effect, String)> = Vec::new();
     let mut push = |eff: Effect, what: &str, line: usize| {
         // First site per effect wins; later duplicates add nothing.
-        if !out.iter().any(|(e, _, _)| *e == eff) {
-            out.push((eff, format!("`{what}` at {}:{line}", file.path), line));
+        if !out.iter().any(|(e, _)| *e == eff) {
+            out.push((eff, format!("`{what}` at {}:{line}", file.path)));
         }
     };
 
-    if let Some(a) = body_allocs(src, tokens, body.clone()).first() {
-        push(Effect::Alloc, a.token, a.line);
+    if !f.hot {
+        if let Some(a) = body_allocs(src, tokens, body.clone()).first() {
+            push(Effect::Alloc, a.token, a.line);
+        }
     }
-
     let guards = guard_vars(&texts, &kinds);
-    let has_hash = (0..tokens.len()).any(|i| {
-        tokens[i].line >= sig_line
-            && i < body.end
-            && matches!(tokens[i].kind, TokKind::Ident)
-            && matches!(tokens[i].text(src), "HashMap" | "HashSet")
-    });
+    let sig_start = tokens.partition_point(|t| t.line < f.sig_line);
+    let has_hash = tokens[sig_start.min(body.end)..body.end]
+        .iter()
+        .any(|t| t.kind == TokKind::Ident && is_hash_container(t.text(src)));
 
     for k in 0..texts.len() {
         let line = line_of(k);
-        // wall-clock
-        if seq_at(k, &["Instant", ":", ":", "now"]) {
-            push(Effect::WallClock, "Instant::now", line);
+        // wall-clock, rng, env-read
+        for s in SOURCES
+            .iter()
+            .filter(|s| s.at(k, |i| texts.get(i).copied()))
+        {
+            if let Some(eff) = s.effect() {
+                push(eff, s.text, line);
+            }
         }
-        if seq_at(k, &["SystemTime", ":", ":", "now"]) {
-            push(Effect::WallClock, "SystemTime::now", line);
-        }
-        // rng
-        if texts[k] == "thread_rng" {
-            push(Effect::Rng, "thread_rng", line);
-        }
-        if seq_at(k, &["rand", ":", ":", "random"]) {
-            push(Effect::Rng, "rand::random", line);
-        }
-        // env-read
-        if seq_at(k, &["env", ":", ":", "var"]) || seq_at(k, &["env", ":", ":", "vars"]) {
-            push(Effect::EnvRead, "env::var", line);
-        }
-        // hash-iter: iteration methods only count in a body that names a
+        // hash-iter: iteration methods only count in a fn that names a
         // hash container at all — cheap and quiet on BTree-only code.
         if has_hash
             && texts[k] == "."
             && texts.get(k + 2).copied() == Some("(")
-            && matches!(
-                texts.get(k + 1).copied(),
-                Some("iter" | "iter_mut" | "keys" | "values" | "drain")
-            )
+            && texts
+                .get(k + 1)
+                .is_some_and(|m| HASH_ITER_METHODS.contains(m))
         {
             push(
                 Effect::HashIter,
@@ -272,66 +359,49 @@ fn direct_effects(
 
 /// Compute the effect summary of every non-test function with a body.
 /// Deterministic: nodes are iterated in `(file, fn)` order, calls in line
-/// order, and the first origin recorded for an effect is kept.
-pub fn summaries(files: &[WsFile]) -> BTreeMap<Node, EffectSet> {
-    let index = CallIndex::build(files);
+/// order, and the first origin recorded for an effect is kept. A hot fn's
+/// own allocations are not in its summary (see the module docs).
+pub fn summaries(ws: &Workspace) -> BTreeMap<Node, EffectSet> {
+    let files = ws.files;
     let mut sums: BTreeMap<Node, EffectSet> = BTreeMap::new();
     let mut edges: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            let node = (fi, gi);
-            let mut set = EffectSet::new();
-            for (eff, desc, _line) in direct_effects(file, f.sig_line, f.body_tokens.clone()) {
-                set.insert(
+    for (node, f) in ws.fns() {
+        let chain = vec![f.name.clone()];
+        let set = direct_effects(&files[node.0], f)
+            .into_iter()
+            .map(|(eff, desc)| {
+                (
                     eff,
                     Origin {
                         desc,
-                        chain: vec![f.name.clone()],
+                        chain: chain.clone(),
                     },
-                );
-            }
-            sums.insert(node, set);
-            let mut es = Vec::new();
-            for call in body_calls(&file.src, &file.tokens, f.body_tokens.clone()) {
-                if file.items.cold_call_at(call.line) {
-                    continue;
-                }
-                for target in index.resolve(&call, node, files) {
-                    if target != node && !es.contains(&target) {
-                        es.push(target);
-                    }
+                )
+            })
+            .collect();
+        sums.insert(node, set);
+        let mut es = Vec::new();
+        for site in ws.sites(node).iter().filter(|s| !s.cold) {
+            for &target in &site.targets {
+                if target != node && !es.contains(&target) {
+                    es.push(target);
                 }
             }
-            edges.insert(node, es);
         }
+        edges.insert(node, es);
     }
-    // Monotone fixpoint: effects only accumulate, so this terminates.
+    // Monotone fixpoint, one call level per round (so each origin keeps a
+    // shortest chain): effects only accumulate, so this terminates.
     loop {
-        let mut pending: Vec<(Node, Effect, Origin)> = Vec::new();
+        let mut pending: BTreeMap<(Node, Effect), Origin> = BTreeMap::new();
         for (&node, es) in &edges {
-            let have = &sums[&node];
-            let caller_name = files[node.0].items.fns[node.1].name.clone();
-            for &callee in es {
-                let Some(cs) = sums.get(&callee) else {
-                    continue;
-                };
-                for (&eff, origin) in cs {
-                    if !have.contains_key(&eff)
-                        && !pending.iter().any(|(n, e, _)| *n == node && *e == eff)
-                    {
-                        let mut chain = vec![caller_name.clone()];
-                        chain.extend(origin.chain.iter().take(CHAIN_CAP - 1).cloned());
-                        pending.push((
-                            node,
-                            eff,
-                            Origin {
-                                desc: origin.desc.clone(),
-                                chain,
-                            },
-                        ));
+            let caller = &files[node.0].items.fns[node.1].name;
+            for callee in es {
+                for (&eff, origin) in &sums[callee] {
+                    if !sums[&node].contains_key(&eff) {
+                        pending
+                            .entry((node, eff))
+                            .or_insert_with(|| origin.called_from(caller));
                     }
                 }
             }
@@ -339,8 +409,8 @@ pub fn summaries(files: &[WsFile]) -> BTreeMap<Node, EffectSet> {
         if pending.is_empty() {
             break;
         }
-        for (node, eff, origin) in pending {
-            sums.get_mut(&node).unwrap().entry(eff).or_insert(origin);
+        for ((node, eff), origin) in pending {
+            sums.entry(node).or_default().insert(eff, origin);
         }
     }
     sums
@@ -363,48 +433,94 @@ fn forbidden(contract: &str) -> &'static [Effect] {
     }
 }
 
-/// Check every declared `doebench::effects(...)` contract against the
-/// computed summaries. Findings report at the contract fn's signature
-/// line with the full call chain to the offending site.
-pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
-    let sums = summaries(files);
+/// The effect pass: every declared `doebench::effects(...)` contract
+/// checked against the summaries (reported at the contract fn's
+/// signature line with the full call chain to the offending site), and
+/// every `hot-path-alloc` finding.
+pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
+    let sums = summaries(ws);
     let mut out = Vec::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            let Some(contract) = &f.effects else {
+    for (node, f) in ws.fns() {
+        let file = &ws.files[node.0];
+        let Some(contract) = &f.effects else {
+            continue;
+        };
+        if file.items.waived(Rule::EffectContract.id(), f.sig_line) {
+            continue;
+        }
+        for &eff in forbidden(contract) {
+            let Some(origin) = sums[&node].get(&eff) else {
                 continue;
             };
-            let Some(set) = sums.get(&(fi, gi)) else {
-                continue;
+            let via = if origin.chain.len() > 1 {
+                format!(" via {}", origin.chain.join(" -> "))
+            } else {
+                String::new()
             };
-            if file.items.waived(Rule::EffectContract.id(), f.sig_line) {
-                continue;
-            }
-            for &eff in forbidden(contract) {
-                let Some(origin) = set.get(&eff) else {
-                    continue;
-                };
-                let via = if origin.chain.len() > 1 {
-                    format!(" via {}", origin.chain.join(" -> "))
-                } else {
-                    String::new()
-                };
+            out.push(LintFinding {
+                rule: Rule::EffectContract,
+                path: file.path.clone(),
+                line: f.sig_line,
+                message: format!(
+                    "fn `{}` declares `doebench::effects({contract})` but its call closure has {}: {}{via}",
+                    f.name,
+                    eff.name(),
+                    origin.desc,
+                ),
+                chain: origin.chain.clone(),
+            });
+        }
+    }
+    out.extend(hot_path_alloc(ws, &sums));
+    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    out
+}
+
+/// `hot-path-alloc`: each hot fn's own allocating lines, then each of its
+/// call lines whose callee's summary allocates. One finding per line.
+fn hot_path_alloc(ws: &Workspace, sums: &BTreeMap<Node, EffectSet>) -> Vec<LintFinding> {
+    let mut out = Vec::new();
+    let mut claimed = BTreeSet::new();
+    for (root, f) in ws.fns().filter(|(_, f)| f.hot) {
+        let file = &ws.files[root.0];
+        let mut push = |line: usize, message: String, chain: Vec<String>| {
+            if claimed.insert((root.0, line)) && !file.items.waived(Rule::HotPathAlloc.id(), line) {
                 out.push(LintFinding {
-                    rule: Rule::EffectContract,
+                    rule: Rule::HotPathAlloc,
                     path: file.path.clone(),
-                    line: f.sig_line,
-                    message: format!(
-                        "fn `{}` declares `doebench::effects({contract})` but its call closure has {}: {}{via}",
-                        f.name,
-                        eff.name(),
-                        origin.desc,
-                    ),
-                    chain: origin.chain.clone(),
+                    line,
+                    message,
+                    chain,
                 });
+            }
+        };
+        for a in body_allocs(&file.src, &file.tokens, f.body_tokens.clone()) {
+            push(
+                a.line,
+                format!("`{}` allocates per call inside a `doebench::hot` function; hoist it into an arena/pool/scratch buffer or a `#[cold]` helper", a.token),
+                Vec::new(),
+            );
+        }
+        for site in ws.sites(root).iter().filter(|s| !s.cold) {
+            let reached = site
+                .targets
+                .iter()
+                .filter(|&&t| t != root)
+                .find_map(|t| sums[t].get(&Effect::Alloc));
+            if let Some(Origin { desc, chain }) = reached.map(|o| o.called_from(&f.name)) {
+                push(
+                    site.call.line,
+                    format!(
+                        "hot fn `{}` reaches {} via {}; hoist the allocation or mark the call `// doebench::cold-call`",
+                        f.name,
+                        desc,
+                        chain.join(" -> "),
+                    ),
+                    chain,
+                );
             }
         }
     }
-    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
 }
 
@@ -414,7 +530,11 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn single(src: &str) -> Vec<LintFinding> {
-        findings(&[ws_file("crates/x/src/lib.rs", src, &[])])
+        findings(&Workspace::build(&[ws_file(
+            "crates/x/src/lib.rs",
+            src,
+            &[],
+        )]))
     }
 
     #[test]
@@ -524,33 +644,6 @@ fn entry(h: std::thread::JoinHandle<()>) {
 }
 ";
         assert!(single(src).is_empty());
-    }
-
-    #[test]
-    fn summaries_subsume_transitive_hot_alloc() {
-        // Every fn the hot-path-alloc-transitive rule would flag has the
-        // alloc effect in its summary — the engines agree on reachability.
-        let src = "\
-// doebench::hot
-fn pump() {
-    step();
-}
-fn step() {
-    grow();
-}
-fn grow() {
-    let v = vec![0u8; 64];
-    let _ = v;
-}
-";
-        let files = [ws_file("crates/x/src/lib.rs", src, &[])];
-        let sums = summaries(&files);
-        let trans = crate::callgraph::transitive_findings(&files);
-        assert_eq!(trans.len(), 1);
-        let (fi, gi) = (0, 0); // pump
-        assert_eq!(files[fi].items.fns[gi].name, "pump");
-        let origin = &sums[&(fi, gi)][&Effect::Alloc];
-        assert_eq!(origin.chain, vec!["pump", "step", "grow"]);
     }
 
     #[test]

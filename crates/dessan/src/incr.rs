@@ -8,7 +8,7 @@
 //! workspace run re-lints only the files that changed.
 //!
 //! Scope is honest and narrow: **workspace-level analyses always
-//! re-run** (transitive hot-path, cross-file taint, effect contracts,
+//! re-run** (cross-file taint, the effect pass with `hot-path-alloc`,
 //! lock order, key coverage — their inputs are the whole file set), and
 //! lexing re-runs too because those analyses need live token streams.
 //! What the cache saves is the dominant per-file cost: CFG construction

@@ -11,7 +11,7 @@
 //! * `// doebench::hot` — arms the next `fn` as a hot function (the
 //!   `#[doebench::hot]` attribute spelling also works).
 //! * `// doebench::cold-call` — calls on this line (or the next) are
-//!   exempt from the transitive hot-path-alloc walk.
+//!   cut from the effect walk (`hot-path-alloc`, effect contracts).
 //! * `// dessan::taint-source` — arms the next `fn` as a nondeterminism
 //!   taint source: the taint analysis treats its return value as tainted
 //!   at every call site (for sources the token rules can't see, e.g. FFI
@@ -66,8 +66,6 @@ pub struct FileItems {
     /// Per-line flags (index = line − 1): inside a `#[cfg(test)]` region,
     /// attribute line included.
     pub test_lines: Vec<bool>,
-    /// Per-line flags: inside a hot non-test function's span.
-    pub hot_lines: Vec<bool>,
     /// `(line, rule)` waivers: suppress `rule` on `line` and `line + 1`.
     pub line_allows: Vec<(usize, String)>,
     /// Rules waived file-wide by `//! dessan::allow(...)` doc comments.
@@ -156,7 +154,6 @@ pub fn parse(src: &str, tokens: &[Token], extra_hot: &[String]) -> FileItems {
     let line_count = src.lines().count().max(1);
     let mut items = FileItems {
         test_lines: vec![false; line_count],
-        hot_lines: vec![false; line_count],
         cold_call_lines: vec![false; line_count],
         ..FileItems::default()
     };
@@ -375,18 +372,6 @@ pub fn parse(src: &str, tokens: &[Token], extra_hot: &[String]) -> FileItems {
     for (m, contract) in effects_marker_lines {
         if let Some(f) = items.fns.iter_mut().find(|f| f.sig_line >= m) {
             f.effects = Some(contract);
-        }
-    }
-
-    // Hot line flags from spans: the whole fn body, nested closures and
-    // one-liners included.
-    for f in &items.fns {
-        if f.hot && !f.in_test {
-            for l in f.sig_line..=f.end_line {
-                if let Some(flag) = items.hot_lines.get_mut(l - 1) {
-                    *flag = true;
-                }
-            }
         }
     }
 
@@ -687,7 +672,8 @@ mod tests {
     fn one_line_hot_fn_is_hot() {
         let src = "// doebench::hot\nfn fast() { helper() }\n";
         let it = items_of(src);
-        assert_eq!(it.hot_lines, vec![false, true]);
+        assert!(it.fns[0].hot);
+        assert_eq!((it.fns[0].sig_line, it.fns[0].end_line), (2, 2));
     }
 
     #[test]
@@ -766,7 +752,10 @@ mod tests {
     fn closures_inside_hot_fns_stay_hot() {
         let src = "// doebench::hot\nfn pump(xs: &[u32]) {\n    xs.iter().for_each(|x| {\n        touch(*x);\n    });\n}\n";
         let it = items_of(src);
-        assert_eq!(it.hot_lines, vec![false, true, true, true, true, true]);
+        // The hot fn's span runs to its closing brace, closure included.
+        assert_eq!(it.fns.len(), 1);
+        assert!(it.fns[0].hot);
+        assert_eq!((it.fns[0].sig_line, it.fns[0].end_line), (2, 6));
     }
 
     #[test]

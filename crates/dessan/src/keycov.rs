@@ -38,7 +38,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::callgraph::WsFile;
+use crate::callgraph::{Workspace, WsFile};
 use crate::items::struct_defs;
 use crate::lex::TokKind;
 use crate::lint::{LintFinding, Rule};
@@ -112,7 +112,8 @@ impl Span<'_> {
 
 /// Prove every named field of the target structs flows into its cache-key
 /// derivation; report the fields that do not.
-pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
+pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
+    let files = ws.files;
     let mut out = Vec::new();
     // Struct definitions by name (a target name should be unique; if a
     // test double duplicates it, every definition is held to the proof).
@@ -194,7 +195,11 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn single(src: &str) -> Vec<LintFinding> {
-        findings(&[ws_file("crates/x/src/lib.rs", src, &[])])
+        findings(&Workspace::build(&[ws_file(
+            "crates/x/src/lib.rs",
+            src,
+            &[],
+        )]))
     }
 
     #[test]
@@ -346,6 +351,6 @@ pub fn machine_digest(m: &Machine) -> u64 {
             ws_file("crates/machines/src/machine.rs", machine, &[]),
             ws_file("crates/core/src/query.rs", digest, &[]),
         ];
-        assert!(findings(&files).is_empty());
+        assert!(findings(&Workspace::build(&files)).is_empty());
     }
 }

@@ -4,12 +4,12 @@
 //!
 //! 1. **Source-level determinism lint** ([`lint`]): a syntax-aware scan of
 //!    the workspace — a lossless lexer ([`lex`]), an item-level parser
-//!    ([`items`]), and a heuristic call graph ([`callgraph`]) — that
-//!    rejects the hazard classes that can silently break the campaign's
-//!    bit-identical-output guarantee (wall-clock reads, unseeded RNG,
-//!    hash-ordered rendering, ambient env reads, unjustified `unsafe`,
-//!    panics in simulated runtimes, and allocations in or transitively
-//!    reachable from `// doebench::hot` functions). Run it with
+//!    ([`items`]), and a heuristic call graph built once per run
+//!    ([`callgraph`]) — that rejects the hazard classes that can silently
+//!    break the campaign's bit-identical-output guarantee (wall-clock
+//!    reads, unseeded RNG, hash-ordered rendering, ambient env reads,
+//!    unjustified `unsafe`, panics in simulated runtimes, and allocations
+//!    in or reachable from `// doebench::hot` functions). Run it with
 //!    `cargo run -p dessan --bin dessan-lint` (add `--format json` for
 //!    machine-readable output); justified sites carry in-source
 //!    `dessan::allow(<rule>): <reason>` waivers next to the code they
@@ -25,7 +25,9 @@
 //!    `drain_until` without reschedule). A call-graph fixpoint layer adds
 //!    interprocedural effect summaries ([`effects`]: per-function effect
 //!    sets checked against declared `// doebench::effects(...)`
-//!    contracts), lock-order/condvar protocol checking ([`locks`]:
+//!    contracts and walked from every hot function for `hot-path-alloc`;
+//!    its table of source patterns is shared by the token rules and the
+//!    taint sources), lock-order/condvar protocol checking ([`locks`]:
 //!    double-lock, global acquisition-order cycles, guard-across-wait,
 //!    wait-outside-loop), and cache-key field-coverage proofs
 //!    ([`keycov`]: every field of the key structs must flow into the

@@ -3,7 +3,7 @@
 //! Since dessan v2 this is a syntax-aware scan: files are tokenized by the
 //! hand-rolled lossless lexer ([`crate::lex`]), structured into fn/impl/
 //! test-region items with line spans ([`crate::items`]), and linked into a
-//! workspace call graph ([`crate::callgraph`]). Seventeen rule classes:
+//! workspace call graph ([`crate::callgraph`]). Sixteen rule classes:
 //!
 //! | id                        | hazard                                              |
 //! |---------------------------|-----------------------------------------------------|
@@ -13,8 +13,7 @@
 //! | `env-read`                | `std::env::var` outside `config`/`cli` modules      |
 //! | `unsafe-no-safety`        | `unsafe` without a nearby `// SAFETY:` comment      |
 //! | `unwrap-in-sim`           | `unwrap()`/`expect()` in sim-crate non-test code    |
-//! | `hot-path-alloc`          | per-call allocation in a `doebench::hot` function   |
-//! | `hot-path-alloc-transitive` | allocation reachable from a hot fn via the call graph |
+//! | `hot-path-alloc`          | allocation in, or reachable through the call graph from, a `doebench::hot` function ([`crate::effects`]) |
 //! | `nondet-taint`            | nondeterministic value flows into an event time, table cell, or digest ([`crate::taint`]) |
 //! | `units-flow`              | mixed-unit arithmetic/comparison in the sim crates ([`crate::unitsflow`]) |
 //! | `protocol-send-wait`      | `send_nb` with no matching `recv`/wait on some path ([`crate::protocol`]) |
@@ -25,22 +24,29 @@
 //! | `lock-order`              | lock-order cycle, double-lock, or condvar protocol misuse ([`crate::locks`]) |
 //! | `key-coverage`            | a spec/query struct field missing from the canonical cache key ([`crate::keycov`]) |
 //!
-//! `nondet-taint` through `protocol-queue-drain` run on the dataflow
-//! layer ([`crate::cfg`] + [`crate::dataflow`]) rather than on raw token
-//! sequences, so their findings are path-aware: a `send_nb` answered on
-//! every control-flow path is clean, and a taint finding carries its
-//! source→sink chain. `effect-contract` is an interprocedural fixpoint
-//! over the call graph, `lock-order` a must-hold dataflow over guard
-//! bindings, and `key-coverage` a structural proof over struct
-//! definitions and the canonical serialization functions.
+//! The first four match the one source-pattern table
+//! ([`crate::effects::SOURCES`]) that the taint and effect analyses also
+//! read. `nondet-taint` through `protocol-queue-drain` run on the
+//! dataflow layer ([`crate::cfg`] + [`crate::dataflow`]) rather than on
+//! raw token sequences, so their findings are path-aware: a `send_nb`
+//! answered on every control-flow path is clean, and a taint finding
+//! carries its source→sink chain. `effect-contract` and `hot-path-alloc`
+//! read the interprocedural effect summaries, `lock-order` is a
+//! must-hold dataflow over guard bindings, and `key-coverage` a
+//! structural proof over struct definitions and the canonical
+//! serialization functions.
+//!
+//! Rules run as passes: per-file passes (`FILE_PASSES`, memoized by the
+//! incremental cache) and workspace passes (`WS_PASSES`) over one call
+//! graph built per run. Both lists also name the `--timings` phases.
 //!
 //! A function becomes hot by carrying a `doebench::hot` marker comment
 //! before (or on) its `fn` line, or by a `hot-fn path fn-name` line in
 //! `dessan.toml`. Inside a hot body, `Box::new`, `vec!`, `format!`,
 //! `.to_string()`, `.to_owned()` and `.clone()` are flagged
-//! (`.clone_from(...)` reuses its destination buffer and is fine), and the
-//! transitive rule follows calls out of the hot body to allocations any
-//! depth away (`// doebench::cold-call` cuts an edge, `#[cold]` a callee).
+//! (`.clone_from(...)` reuses its destination buffer and is fine), and so
+//! is a call whose callee allocates any depth away
+//! (`// doebench::cold-call` cuts an edge, `#[cold]` a callee).
 //!
 //! Justified sites are waived *in source*, next to the code they excuse:
 //! `// dessan::allow(<rule>): <reason>` on the offending line or the line
@@ -55,9 +61,8 @@ use std::path::Path;
 // dessan::allow(wall-clock): host-clock import feeds only the --timings scoreboard.
 use std::time::{Duration, Instant};
 
-use crate::callgraph::{self, WsFile};
-use crate::items;
-use crate::lex;
+use crate::callgraph::{ws_file, Workspace, WsFile};
+use crate::effects::SOURCES;
 
 /// The crates whose non-test code must be panic-free (`unwrap-in-sim`).
 const SIM_CRATES: [&str; 7] = [
@@ -79,10 +84,9 @@ pub enum Rule {
     UnsafeNoSafety,
     /// `unwrap()`/`expect()` in sim-crate non-test code.
     UnwrapInSim,
-    /// Per-call heap allocation inside a `doebench::hot` function.
+    /// Heap allocation inside a `doebench::hot` function, or reachable
+    /// from one through the call graph.
     HotPathAlloc,
-    /// Allocation reachable from a hot function through the call graph.
-    HotPathAllocTransitive,
     /// A nondeterministic value reaches an event time, table cell, or
     /// FNV digest (dataflow taint, source→sink chain attached).
     NondetTaint,
@@ -119,7 +123,6 @@ impl Rule {
             Rule::UnsafeNoSafety => "unsafe-no-safety",
             Rule::UnwrapInSim => "unwrap-in-sim",
             Rule::HotPathAlloc => "hot-path-alloc",
-            Rule::HotPathAllocTransitive => "hot-path-alloc-transitive",
             Rule::NondetTaint => "nondet-taint",
             Rule::UnitsFlow => "units-flow",
             Rule::ProtocolSendWait => "protocol-send-wait",
@@ -138,7 +141,7 @@ impl Rule {
     }
 
     /// Every rule, in report order.
-    pub const ALL: [Rule; 17] = [
+    pub const ALL: [Rule; 16] = [
         Rule::WallClock,
         Rule::AdHocRng,
         Rule::HashOrder,
@@ -146,7 +149,6 @@ impl Rule {
         Rule::UnsafeNoSafety,
         Rule::UnwrapInSim,
         Rule::HotPathAlloc,
-        Rule::HotPathAllocTransitive,
         Rule::NondetTaint,
         Rule::UnitsFlow,
         Rule::ProtocolSendWait,
@@ -362,7 +364,7 @@ pub fn strip_comments_and_strings(src: &str) -> String {
 }
 
 /// The crate a workspace-relative path belongs to (`crates/<name>/…`).
-fn crate_of(path: &str) -> Option<&str> {
+pub(crate) fn crate_of(path: &str) -> Option<&str> {
     let rest = path.strip_prefix("crates/")?;
     rest.split('/').next()
 }
@@ -384,39 +386,58 @@ fn is_output_path(path: &str) -> bool {
         || crate_of(path) == Some("report")
 }
 
+/// A per-file pass and its `--timings` name.
+type FilePass = (&'static str, fn(&WsFile) -> Vec<LintFinding>);
+
+/// A workspace pass and its `--timings` name.
+type WsPass = (&'static str, fn(&Workspace) -> Vec<LintFinding>);
+
+/// The per-file passes, in run order. Each is a pure function of one
+/// parsed file, so the incremental cache memoizes its findings.
+const FILE_PASSES: [FilePass; 3] = [
+    ("token", token_rules),
+    ("units-flow", crate::unitsflow::findings),
+    ("protocol", crate::protocol::findings),
+];
+
+/// The workspace passes, in run order. Each reads the whole call graph.
+const WS_PASSES: [WsPass; 4] = [
+    ("nondet-taint", crate::taint::findings),
+    ("effects", crate::effects::findings),
+    ("lock-order", crate::locks::findings),
+    ("key-coverage", crate::keycov::findings),
+];
+
+fn file_findings(file: &WsFile) -> Vec<LintFinding> {
+    FILE_PASSES
+        .iter()
+        .flat_map(|(_, pass)| pass(file))
+        .collect()
+}
+
 /// Lint one file's source text. `path` must be workspace-relative
 /// (`crates/<crate>/src/...`) so crate- and module-scoped rules resolve.
-/// Workspace-level rules (`hot-path-alloc-transitive`) run in [`run`].
 pub fn lint_file(path: &str, src: &str) -> Vec<LintFinding> {
     lint_file_with_hot(path, src, &[])
 }
 
 /// [`lint_file`] with extra hot-function designations for this file
-/// (the `hot-fn` lines of `dessan.toml`, marker comments aside). Runs the
-/// token rules plus the single-file dataflow analyses (units-flow,
-/// protocol, intra-file taint); cross-file taint and the transitive
-/// hot-path walk need the whole workspace and run only in [`run`].
+/// (the `hot-fn` lines of `dessan.toml`, marker comments aside). Runs
+/// every pass, the workspace passes over a one-file workspace: calls into
+/// other files resolve only in [`run`].
 pub fn lint_file_with_hot(path: &str, src: &str, extra_hot: &[String]) -> Vec<LintFinding> {
-    let file = callgraph::ws_file(path, src, extra_hot);
-    let mut findings = lint_parsed(path, src, &file.tokens, &file.items);
-    findings.extend(crate::unitsflow::findings(&file));
-    findings.extend(crate::protocol::findings(&file));
-    let slice = std::slice::from_ref(&file);
-    findings.extend(crate::taint::findings(slice));
-    findings.extend(crate::effects::findings(slice));
-    findings.extend(crate::locks::findings(slice));
-    findings.extend(crate::keycov::findings(slice));
+    let file = ws_file(path, src, extra_hot);
+    let mut findings = file_findings(&file);
+    let ws = Workspace::build(std::slice::from_ref(&file));
+    findings.extend(WS_PASSES.iter().flat_map(|(_, pass)| pass(&ws)));
     findings.sort_by_key(|f| (f.line, f.rule.order()));
     findings
 }
 
-/// The per-file rules, over an already-lexed and parsed file.
-fn lint_parsed(
-    path: &str,
-    src: &str,
-    tokens: &[lex::Token],
-    its: &items::FileItems,
-) -> Vec<LintFinding> {
+/// The token rules: the [`SOURCES`] patterns, `unsafe-no-safety` and
+/// `unwrap-in-sim`.
+fn token_rules(file: &WsFile) -> Vec<LintFinding> {
+    let (path, src, tokens, its) = (&file.path, &file.src, &file.tokens, &file.items);
     let krate = crate_of(path).unwrap_or("");
     let stem = stem_of(path);
     let in_sim_crate = SIM_CRATES.contains(&krate);
@@ -425,9 +446,7 @@ fn lint_parsed(
     let original_lines: Vec<&str> = src.lines().collect();
 
     // Code-token text/line streams for sequence matching.
-    let code: Vec<usize> = (0..tokens.len())
-        .filter(|&i| tokens[i].kind.is_code())
-        .collect();
+    let code = file.code(0..tokens.len());
     let texts: Vec<&str> = code.iter().map(|&i| tokens[i].text(src)).collect();
     let tok_lines: Vec<usize> = code.iter().map(|&i| tokens[i].line).collect();
     // Lines where the code-token sequence `pattern` starts (`::` written
@@ -458,75 +477,22 @@ fn lint_parsed(
         }
     };
 
-    // wall-clock: reading host time inside simulated/deterministic code.
-    // One finding per line, first pattern wins.
+    // wall-clock, ad-hoc-rng, hash-order (output paths only) and env-read
+    // (outside config/cli modules): one finding per rule and line, the
+    // first pattern in table order wins.
     let mut claimed = BTreeSet::new();
-    for (disp, pat) in [
-        (
-            "std::time::Instant",
-            &["std", ":", ":", "time", ":", ":", "Instant"][..],
-        ),
-        (
-            "std::time::SystemTime",
-            &["std", ":", ":", "time", ":", ":", "SystemTime"][..],
-        ),
-        ("Instant::now", &["Instant", ":", ":", "now"][..]),
-        ("SystemTime::now", &["SystemTime", ":", ":", "now"][..]),
-    ] {
-        for line in seq_lines(pat) {
-            if claimed.insert(line) {
-                push(
-                    Rule::WallClock,
-                    line,
-                    format!("wall-clock read `{disp}` breaks run-to-run determinism; use simulated time (`SimTime`) or waive native-measurement code with `// dessan::allow(wall-clock): <reason>`"),
-                );
+    for s in &SOURCES {
+        let message = match s.rule {
+            Rule::WallClock => format!("wall-clock read `{}` breaks run-to-run determinism; use simulated time (`SimTime`) or waive native-measurement code with `// dessan::allow(wall-clock): <reason>`", s.text),
+            Rule::AdHocRng => format!("unseeded randomness `{}`; derive a stream from `SimRng` instead", s.text),
+            Rule::HashOrder if output_path => format!("`{}` in an output path; iteration order is unspecified — use `BTreeMap`/`BTreeSet` or sort explicitly", s.text),
+            Rule::EnvRead if !env_exempt => "environment read outside a config/cli module makes behaviour depend on ambient state".to_string(),
+            _ => continue,
+        };
+        for k in (0..texts.len()).filter(|&k| s.at(k, |i| texts.get(i).copied())) {
+            if claimed.insert((s.rule.id(), tok_lines[k])) {
+                push(s.rule, tok_lines[k], message.clone());
             }
-        }
-    }
-
-    // ad-hoc-rng: randomness not derived from the campaign seed.
-    let mut claimed = BTreeSet::new();
-    for (disp, pat) in [
-        ("thread_rng", &["thread_rng"][..]),
-        ("rand::random", &["rand", ":", ":", "random"][..]),
-    ] {
-        for line in seq_lines(pat) {
-            if claimed.insert(line) {
-                push(
-                    Rule::AdHocRng,
-                    line,
-                    format!("unseeded randomness `{disp}`; derive a stream from `SimRng` instead"),
-                );
-            }
-        }
-    }
-
-    // hash-order: nondeterministic iteration order in rendered output.
-    if output_path {
-        let mut claimed = BTreeSet::new();
-        for pat in ["HashMap", "HashSet"] {
-            for line in seq_lines(&[pat]) {
-                if claimed.insert(line) {
-                    push(
-                        Rule::HashOrder,
-                        line,
-                        format!("`{pat}` in an output path; iteration order is unspecified — use `BTreeMap`/`BTreeSet` or sort explicitly"),
-                    );
-                }
-            }
-        }
-    }
-
-    // env-read: ambient configuration outside config/cli modules.
-    if !env_exempt {
-        let mut lines: BTreeSet<usize> = seq_lines(&["env", ":", ":", "var"]);
-        lines.extend(seq_lines(&["env", ":", ":", "vars"]));
-        for line in lines {
-            push(
-                Rule::EnvRead,
-                line,
-                "environment read outside a config/cli module makes behaviour depend on ambient state".to_string(),
-            );
         }
     }
 
@@ -564,25 +530,6 @@ fn lint_parsed(
                         format!("`{disp}` in non-test code of a simulated runtime crate; return a typed error instead"),
                     );
                 }
-            }
-        }
-    }
-
-    // hot-path-alloc: the steady-state event/message path must not touch
-    // the allocator — that's what the arenas/pools are for. Span-based:
-    // one-line hot fns and nested closures are covered by construction.
-    let mut claimed = BTreeSet::new();
-    for f in &its.fns {
-        if !f.hot || f.in_test || f.body_tokens.is_empty() {
-            continue;
-        }
-        for a in callgraph::body_allocs(src, tokens, f.body_tokens.clone()) {
-            if claimed.insert(a.line) {
-                push(
-                    Rule::HotPathAlloc,
-                    a.line,
-                    format!("`{}` allocates per call inside a `doebench::hot` function; hoist it into an arena/pool/scratch buffer or a `#[cold]` helper", a.token),
-                );
             }
         }
     }
@@ -748,9 +695,8 @@ fn phase_clock() -> Instant {
 }
 
 /// Lint every `crates/*/src/**/*.rs` under `root` with default options:
-/// the per-file rules, then the workspace-level analyses (transitive
-/// hot-path-alloc, cross-file taint, effect contracts, lock order, key
-/// coverage), applying the allowlist at `root/dessan.toml` if present.
+/// the per-file passes, then the workspace passes over one call graph,
+/// applying the allowlist at `root/dessan.toml` if present.
 pub fn run(root: &Path) -> std::io::Result<LintReport> {
     run_with(root, RunOpts::default())
 }
@@ -781,7 +727,7 @@ pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
     };
 
     let mut report = LintReport::default();
-    let mut ws: Vec<WsFile> = Vec::new();
+    let mut files: Vec<WsFile> = Vec::new();
     let mut raw_findings = Vec::new();
     let mut t_parse = Duration::ZERO;
     let mut t_perfile = Duration::ZERO;
@@ -790,9 +736,9 @@ pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
         if !src.is_dir() {
             continue;
         }
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        for f in files {
+        let mut paths = Vec::new();
+        collect_rs_files(&src, &mut paths)?;
+        for f in paths {
             let rel = f
                 .strip_prefix(root)
                 .unwrap_or(&f)
@@ -804,7 +750,7 @@ pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
             // Lex + parse always run: the workspace analyses below need
             // live token streams even on a cache hit.
             let t0 = phase_clock();
-            let file = callgraph::ws_file(&rel, &text, &hot);
+            let file = ws_file(&rel, &text, &hot);
             t_parse += t0.elapsed();
             let t0 = phase_clock();
             if let Some(cached) = cache.lookup(&rel, &text, &hot) {
@@ -812,40 +758,29 @@ pub fn run_with(root: &Path, opts: RunOpts) -> std::io::Result<LintReport> {
                 raw_findings.extend(cached);
             } else {
                 report.cache_misses += 1;
-                let mut per = lint_parsed(&rel, &text, &file.tokens, &file.items);
-                per.extend(crate::unitsflow::findings(&file));
-                per.extend(crate::protocol::findings(&file));
+                let per = file_findings(&file);
                 cache.store(&rel, &text, &hot, &per);
                 raw_findings.extend(per);
             }
             t_perfile += t0.elapsed();
-            ws.push(file);
+            files.push(file);
         }
     }
+    let names: Vec<&str> = FILE_PASSES.iter().map(|(name, _)| *name).collect();
     report.timings.push(("lex+parse".to_string(), t_parse));
-    report.timings.push((
-        "per-file rules (token, units-flow, protocol)".to_string(),
-        t_perfile,
-    ));
-    let mut ws_phase =
-        |name: &str, pass: &dyn Fn(&[WsFile]) -> Vec<LintFinding>, sink: &mut Vec<LintFinding>| {
-            let t0 = phase_clock();
-            sink.extend(pass(&ws));
-            report.timings.push((name.to_string(), t0.elapsed()));
-        };
-    ws_phase(
-        "hot-path-alloc-transitive",
-        &callgraph::transitive_findings,
-        &mut raw_findings,
-    );
-    ws_phase("nondet-taint", &crate::taint::findings, &mut raw_findings);
-    ws_phase(
-        "effect-contract",
-        &crate::effects::findings,
-        &mut raw_findings,
-    );
-    ws_phase("lock-order", &crate::locks::findings, &mut raw_findings);
-    ws_phase("key-coverage", &crate::keycov::findings, &mut raw_findings);
+    report
+        .timings
+        .push((format!("per-file rules ({})", names.join(", ")), t_perfile));
+    let t0 = phase_clock();
+    let ws = Workspace::build(&files);
+    report
+        .timings
+        .push(("call graph".to_string(), t0.elapsed()));
+    for (name, pass) in WS_PASSES {
+        let t0 = phase_clock();
+        raw_findings.extend(pass(&ws));
+        report.timings.push((name.to_string(), t0.elapsed()));
+    }
     cache.save(root); // best-effort: a read-only target/ is not an error
     raw_findings
         .sort_by(|a, b| (&a.path, a.line, a.rule.order()).cmp(&(&b.path, b.line, b.rule.order())));
@@ -1136,8 +1071,12 @@ fn fast() { // closes like fn ghost() {
     }
 
     #[test]
-    fn allowlist_accepts_the_transitive_rule_id() {
-        assert!(Allowlist::parse("hot-path-alloc-transitive crates/x/src/y.rs").is_ok());
+    fn allowlist_rejects_the_retired_transitive_rule_id() {
+        // `hot-path-alloc` owns call-graph reachability; its old
+        // `-transitive` twin is no longer a rule id.
+        let retired = format!("{}-transitive", Rule::HotPathAlloc.id());
+        let err = Allowlist::parse(&format!("{retired} crates/x/src/y.rs")).unwrap_err();
+        assert!(err.contains("unknown rule"), "{err}");
     }
 
     #[test]
@@ -1169,12 +1108,12 @@ fn fast() { // closes like fn ghost() {
     }
 
     #[test]
-    fn run_reports_transitive_findings_across_files() {
+    fn run_reports_hot_path_alloc_reached_across_files() {
         let dir =
-            std::env::temp_dir().join(format!("dessan-transitive-fixture-{}", std::process::id()));
+            std::env::temp_dir().join(format!("dessan-hot-reach-fixture-{}", std::process::id()));
         let src = dir.join("crates/fix/src");
         std::fs::create_dir_all(&src).unwrap();
-        // Hot fn -> helper (other file) -> allocating helper, two levels.
+        // Hot fn -> helper -> allocating helper in another file.
         std::fs::write(
             src.join("lib.rs"),
             "mod helpers;\n// doebench::hot\nfn pump() {\n    step();\n}\nfn step() {\n    crate::helpers::grow();\n}\n",
@@ -1186,16 +1125,18 @@ fn fast() { // closes like fn ghost() {
         )
         .unwrap();
         let report = run(&dir).unwrap();
-        let transitive: Vec<_> = report
+        let sites: Vec<_> = report
             .findings
             .iter()
-            .filter(|f| f.rule == Rule::HotPathAllocTransitive)
+            .map(|f| (f.rule, f.path.as_str(), f.line))
             .collect();
-        assert_eq!(transitive.len(), 1, "findings: {:?}", report.findings);
-        assert_eq!(transitive[0].path, "crates/fix/src/lib.rs");
-        assert_eq!(transitive[0].line, 4);
-        // The per-file token engine sees nothing in the hot body itself.
-        assert!(report.findings.iter().all(|f| f.rule != Rule::HotPathAlloc));
+        // Reported once, at the hot fn's call line, not at the site.
+        assert_eq!(
+            sites,
+            [(Rule::HotPathAlloc, "crates/fix/src/lib.rs", 4)],
+            "{:?}",
+            report.findings
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

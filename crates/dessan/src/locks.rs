@@ -38,7 +38,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{body_calls, Call, CallIndex, Node, Recv, WsFile};
+use crate::callgraph::{Node, Workspace, WsFile};
 use crate::cfg::{self, LoopShape, Step};
 use crate::dataflow::{self, Dir, Lattice};
 use crate::items::struct_defs;
@@ -88,8 +88,7 @@ enum Event {
 
 /// Everything needed to resolve a `.lock(` receiver to a lock key.
 struct Resolver<'a> {
-    files: &'a [WsFile],
-    index: CallIndex<'a>,
+    ws: &'a Workspace<'a>,
     /// Mutex-typed field name → owning struct, workspace-unique only.
     field_owner: BTreeMap<String, String>,
     /// Memoized `method → mutex field` resolution per callee node.
@@ -97,9 +96,9 @@ struct Resolver<'a> {
 }
 
 impl<'a> Resolver<'a> {
-    fn build(files: &'a [WsFile]) -> Self {
+    fn build(ws: &'a Workspace<'a>) -> Self {
         let mut owners: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-        for file in files {
+        for file in ws.files {
             for def in struct_defs(&file.src, &file.tokens) {
                 for field in &def.fields {
                     if field.ty.contains("Mutex") {
@@ -117,8 +116,7 @@ impl<'a> Resolver<'a> {
             .map(|(f, s)| (f, s.into_iter().next().unwrap()))
             .collect();
         Resolver {
-            files,
-            index: CallIndex::build(files),
+            ws,
             field_owner,
             method_keys: Default::default(),
         }
@@ -135,14 +133,10 @@ impl<'a> Resolver<'a> {
         if let Some(k) = self.method_keys.borrow().get(&node) {
             return k.clone();
         }
-        let file = &self.files[node.0];
+        let file = &self.ws.files[node.0];
         let f = &file.items.fns[node.1];
-        let code: Vec<usize> = f
-            .body_tokens
-            .clone()
-            .filter(|&i| file.tokens[i].kind.is_code())
-            .collect();
-        let txt = |k: usize| file.tokens[code[k]].text(&file.src);
+        let code = file.code(f.body_tokens.clone());
+        let txt = |k: usize| file.text(code[k]);
         let mut key = None;
         for k in 0..code.len().saturating_sub(2) {
             if txt(k) == "self" && txt(k + 1) == "." {
@@ -157,11 +151,13 @@ impl<'a> Resolver<'a> {
     }
 
     /// Resolve the receiver of a `.lock(` at step position `dot` (the
-    /// index of the `.` in `texts`) to a lock key.
+    /// index of the `.` in `texts`, whose lines `line_of` gives) to a lock
+    /// key.
     fn recv_key(
         &self,
         texts: &[&str],
         kinds: &[TokKind],
+        line_of: &dyn Fn(usize) -> usize,
         dot: usize,
         caller: Node,
     ) -> Option<String> {
@@ -216,25 +212,11 @@ impl<'a> Resolver<'a> {
                 return None;
             }
             let m = i - 1;
-            if !matches!(kinds[m], TokKind::Ident | TokKind::RawIdent) {
-                return None;
-            }
-            let recv = if m >= 2 && texts[m - 1] == "." && texts[m - 2] == "self" {
-                Recv::SelfDot
-            } else if m >= 1 && texts[m - 1] == "." {
-                Recv::OtherDot
-            } else {
-                Recv::Bare
-            };
-            let call = Call {
-                name: texts[m].to_string(),
-                qual: None,
-                recv,
-                line: 0,
-            };
-            let targets = self.index.resolve(&call, caller, self.files);
+            let site = self.ws.sites(caller).iter().find(|s| {
+                s.call.line == line_of(m) && s.call.name == texts[m].trim_start_matches("r#")
+            })?;
             let keys: BTreeSet<Option<String>> =
-                targets.iter().map(|&t| self.method_key(t)).collect();
+                site.targets.iter().map(|&t| self.method_key(t)).collect();
             return match keys.len() {
                 1 => keys.into_iter().next().unwrap(),
                 _ => None,
@@ -279,12 +261,9 @@ fn exec_step(
             v
         }
     };
-    let texts: Vec<&str> = idxs
-        .iter()
-        .map(|&i| file.tokens[i].text(&file.src))
-        .collect();
+    let texts: Vec<&str> = idxs.iter().map(|&i| file.text(i)).collect();
     let kinds: Vec<TokKind> = idxs.iter().map(|&i| file.tokens[i].kind).collect();
-    let line_of = |k: usize| file.tokens[idxs[k]].line;
+    let line_of = |k: usize| file.line(idxs[k]);
 
     // The variable this statement binds, if it is a `let`.
     let bound: Option<String> = if texts.first().copied() == Some("let") {
@@ -305,8 +284,8 @@ fn exec_step(
         Step::Bind { pattern, .. } => pattern
             .iter()
             .rev()
-            .find(|&&i| matches!(file.tokens[i].kind, TokKind::Ident | TokKind::RawIdent))
-            .map(|&i| file.tokens[i].text(&file.src).to_string()),
+            .find(|&&i| file.is_ident(i))
+            .map(|&i| file.text(i).to_string()),
         _ => None,
     };
 
@@ -350,7 +329,7 @@ fn exec_step(
             && texts.get(k + 1).copied() == Some("lock")
             && texts.get(k + 2).copied() == Some("(")
         {
-            let key = resolver.recv_key(&texts, &kinds, k, caller);
+            let key = resolver.recv_key(&texts, &kinds, &line_of, k, caller);
             if let Some(key) = key {
                 if let Some(sink) = sink.as_deref_mut() {
                     if held.values().any(|h| *h == key) {
@@ -381,15 +360,8 @@ fn exec_step(
 /// sit under at least one enclosing `loop`/`while`/`for` brace.
 fn wait_loop_findings(file: &WsFile, caller: Node, out: &mut Vec<LintFinding>) {
     let f = &file.items.fns[caller.1];
-    let code: Vec<usize> = f
-        .body_tokens
-        .clone()
-        .filter(|&i| file.tokens[i].kind.is_code())
-        .collect();
-    let texts: Vec<&str> = code
-        .iter()
-        .map(|&i| file.tokens[i].text(&file.src))
-        .collect();
+    let code = file.code(f.body_tokens.clone());
+    let texts: Vec<&str> = code.iter().map(|&i| file.text(i)).collect();
     let kinds: Vec<TokKind> = code.iter().map(|&i| file.tokens[i].kind).collect();
     let guards = crate::effects::guard_vars(&texts, &kinds);
     let mut loop_stack: Vec<bool> = Vec::new();
@@ -451,70 +423,65 @@ fn wait_loop_findings(file: &WsFile, caller: Node, out: &mut Vec<LintFinding>) {
 }
 
 /// Run the lock-order and condvar protocol checks over a workspace.
-pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
-    let resolver = Resolver::build(files);
+pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
+    let files = ws.files;
+    let resolver = Resolver::build(ws);
     let mut out: Vec<LintFinding> = Vec::new();
     // Global acquisition-order edges: (from, to) → first witnessing site.
     let mut edges: BTreeMap<(String, String), (String, usize, String)> = BTreeMap::new();
 
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            let caller = (fi, gi);
-            // Cheap pre-filter: no `.lock(` and no wait family, no work.
-            let touches = body_calls(&file.src, &file.tokens, f.body_tokens.clone())
-                .iter()
-                .any(|c| {
-                    matches!(
-                        c.name.as_str(),
-                        "lock" | "wait" | "wait_timeout" | "wait_while"
-                    )
-                });
-            if !touches {
-                continue;
-            }
-            wait_loop_findings(file, caller, &mut out);
-            let cfg = cfg::build(
-                &file.src,
-                &file.tokens,
-                f.body_tokens.clone(),
-                LoopShape::ExactlyOnce,
-            );
-            let facts = dataflow::solve(
-                &cfg,
-                Dir::Forward,
-                Held(Some(BTreeMap::new())),
-                Held(None),
-                |b, input| {
-                    let mut held = match &input.0 {
-                        Some(m) => m.clone(),
-                        None => return input.clone(),
-                    };
-                    for step in &cfg.blocks[b].steps {
-                        exec_step(file, &resolver, caller, step, &mut held, None);
-                    }
-                    Held(Some(held))
-                },
-            );
-            // Replay reachable blocks to collect events at exact lines.
-            let mut events = Vec::new();
-            for (b, block) in cfg.blocks.iter().enumerate() {
-                let Some(entry) = &facts[b].0 else { continue };
-                let mut held = entry.clone();
-                for step in &block.steps {
-                    exec_step(file, &resolver, caller, step, &mut held, Some(&mut events));
+    for (caller, f) in ws.fns() {
+        let file = &files[caller.0];
+        // Cheap pre-filter: no `.lock(` and no wait family, no work.
+        let touches = ws.sites(caller).iter().any(|s| {
+            matches!(
+                s.call.name.as_str(),
+                "lock" | "wait" | "wait_timeout" | "wait_while"
+            )
+        });
+        if !touches {
+            continue;
+        }
+        wait_loop_findings(file, caller, &mut out);
+        let cfg = cfg::build(
+            &file.src,
+            &file.tokens,
+            f.body_tokens.clone(),
+            LoopShape::ExactlyOnce,
+        );
+        let facts = dataflow::solve(
+            &cfg,
+            Dir::Forward,
+            Held(Some(BTreeMap::new())),
+            Held(None),
+            |b, input| {
+                let mut held = match &input.0 {
+                    Some(m) => m.clone(),
+                    None => return input.clone(),
+                };
+                for step in &cfg.blocks[b].steps {
+                    exec_step(file, &resolver, caller, step, &mut held, None);
                 }
+                Held(Some(held))
+            },
+        );
+        // Replay reachable blocks to collect events at exact lines.
+        let mut events = Vec::new();
+        for (b, block) in cfg.blocks.iter().enumerate() {
+            let Some(entry) = &facts[b].0 else { continue };
+            let mut held = entry.clone();
+            for step in &block.steps {
+                exec_step(file, &resolver, caller, step, &mut held, Some(&mut events));
             }
-            let mut seen = BTreeSet::new();
-            for ev in events {
-                match ev {
-                    Event::DoubleLock { line, key } => {
-                        if seen.insert((line, key.clone(), String::new()))
-                            && !file.items.waived(Rule::LockOrder.id(), line)
-                        {
-                            out.push(LintFinding {
+        }
+        let mut seen = BTreeSet::new();
+        for ev in events {
+            match ev {
+                Event::DoubleLock { line, key } => {
+                    if seen.insert((line, key.clone(), String::new()))
+                        && !file.items.waived(Rule::LockOrder.id(), line)
+                    {
+                        out.push(LintFinding {
                                 rule: Rule::LockOrder,
                                 path: file.path.clone(),
                                 line,
@@ -524,25 +491,23 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
                                 ),
                                 chain: Vec::new(),
                             });
-                        }
                     }
-                    Event::OrderEdge { line, from, to } => {
-                        edges.entry((from, to)).or_insert((
-                            file.path.clone(),
-                            line,
-                            f.name.clone(),
-                        ));
-                    }
-                    Event::GuardAcrossWait {
-                        line,
-                        wait_key,
-                        other_var,
-                        other_key,
-                    } => {
-                        if seen.insert((line, wait_key.clone(), other_key.clone()))
-                            && !file.items.waived(Rule::LockOrder.id(), line)
-                        {
-                            out.push(LintFinding {
+                }
+                Event::OrderEdge { line, from, to } => {
+                    edges
+                        .entry((from, to))
+                        .or_insert((file.path.clone(), line, f.name.clone()));
+                }
+                Event::GuardAcrossWait {
+                    line,
+                    wait_key,
+                    other_var,
+                    other_key,
+                } => {
+                    if seen.insert((line, wait_key.clone(), other_key.clone()))
+                        && !file.items.waived(Rule::LockOrder.id(), line)
+                    {
+                        out.push(LintFinding {
                                 rule: Rule::LockOrder,
                                 path: file.path.clone(),
                                 line,
@@ -552,7 +517,6 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
                                 ),
                                 chain: Vec::new(),
                             });
-                        }
                     }
                 }
             }
@@ -618,7 +582,11 @@ mod tests {
     use crate::callgraph::ws_file;
 
     fn single(src: &str) -> Vec<LintFinding> {
-        findings(&[ws_file("crates/x/src/lib.rs", src, &[])])
+        findings(&Workspace::build(&[ws_file(
+            "crates/x/src/lib.rs",
+            src,
+            &[],
+        )]))
     }
 
     const STRUCTS: &str = "\

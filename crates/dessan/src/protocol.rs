@@ -37,7 +37,6 @@ use std::collections::BTreeSet;
 use crate::callgraph::WsFile;
 use crate::cfg::{self, Cfg, LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
-use crate::lex::TokKind;
 use crate::lint::{LintFinding, Rule};
 
 /// May-set lattice: union join, bottom = empty.
@@ -78,27 +77,14 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn text(&self, tok: usize) -> &'a str {
-        self.file.tokens[tok].text(&self.file.src)
-    }
-
-    fn line(&self, tok: usize) -> usize {
-        self.file.tokens[tok].line
-    }
-
-    fn is_ident(&self, tok: usize) -> bool {
-        matches!(
-            self.file.tokens[tok].kind,
-            TokKind::Ident | TokKind::RawIdent
-        )
-    }
-
     /// Call sites of `name(` within a token run: returns the index (into
     /// `toks`) of each `name` token followed by `(`.
     fn calls_of(&self, toks: &[usize], name: &str) -> Vec<usize> {
         let mut out = Vec::new();
         for j in 0..toks.len().saturating_sub(1) {
-            if self.is_ident(toks[j]) && self.text(toks[j]) == name && self.text(toks[j + 1]) == "("
+            if self.file.is_ident(toks[j])
+                && self.file.text(toks[j]) == name
+                && self.file.text(toks[j + 1]) == "("
             {
                 out.push(j);
             }
@@ -112,7 +98,7 @@ impl<'a> Ctx<'a> {
         let mut args: Vec<Vec<usize>> = vec![Vec::new()];
         let mut depth = 0usize;
         for &t in &toks[j + 1..] {
-            match self.text(t) {
+            match self.file.text(t) {
                 "(" | "[" | "{" => {
                     depth += 1;
                     if depth == 1 {
@@ -147,10 +133,10 @@ impl<'a> Ctx<'a> {
         let arg: Vec<usize> = arg
             .iter()
             .copied()
-            .filter(|&t| self.text(t) != "&")
+            .filter(|&t| self.file.text(t) != "&")
             .collect();
         match arg.as_slice() {
-            [t] if self.is_ident(*t) => Some(self.text(*t)),
+            [t] if self.file.is_ident(*t) => Some(self.file.text(*t)),
             _ => None,
         }
     }
@@ -159,8 +145,8 @@ impl<'a> Ctx<'a> {
     /// dot before `toks[j]`; `"?"` wildcard for complex receivers.
     fn receiver_of(&self, toks: &[usize], j: usize) -> &'a str {
         // `self.q.pop(..)` → receiver is the field name `q`.
-        if j >= 2 && self.text(toks[j - 1]) == "." && self.is_ident(toks[j - 2]) {
-            return self.text(toks[j - 2]);
+        if j >= 2 && self.file.text(toks[j - 1]) == "." && self.file.is_ident(toks[j - 2]) {
+            return self.file.text(toks[j - 2]);
         }
         "?"
     }
@@ -304,7 +290,7 @@ fn check_send_wait(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
                 gen_completions(ctx, toks, set);
             }
             for j in ctx.calls_of(toks, "send_nb") {
-                let line = ctx.line(toks[j]);
+                let line = ctx.file.line(toks[j]);
                 let args = ctx.args_of(toks, j);
                 let satisfied = match &fact.0 {
                     None => true, // unreachable-from-exit: vacuous
@@ -355,11 +341,13 @@ fn check_event_order(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
             let Step::Code(toks) = step else { continue };
             for j in ctx.calls_of(toks, "event_record") {
                 // Look left for `let <e> =` / `<e> =`.
-                let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
+                let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
                 for k in (0..j).rev() {
-                    if texts[k] == "=" && k >= 1 && ctx.is_ident(toks[k - 1]) {
+                    if texts[k] == "=" && k >= 1 && ctx.file.is_ident(toks[k - 1]) {
                         let name = texts[k - 1].to_string();
-                        record_line.entry(name.clone()).or_insert(ctx.line(toks[j]));
+                        record_line
+                            .entry(name.clone())
+                            .or_insert(ctx.file.line(toks[j]));
                         recorded_somewhere.insert(name);
                         break;
                     }
@@ -402,7 +390,7 @@ fn check_event_order(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
                     Some(set) => set.contains(ev),
                 };
                 if !guaranteed {
-                    let line = ctx.line(toks[j]);
+                    let line = ctx.file.line(toks[j]);
                     let rl = record_line.get(ev).copied().unwrap_or(line);
                     out.extend(mk_finding(
                         ctx,
@@ -430,10 +418,10 @@ fn apply_event_step(
     candidates: &BTreeSet<String>,
 ) {
     let Some(set) = fact.0.as_mut() else { return };
-    let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
+    let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
     for j in ctx.calls_of(toks, "event_record") {
         for k in (0..j).rev() {
-            if texts[k] == "=" && k >= 1 && ctx.is_ident(toks[k - 1]) {
+            if texts[k] == "=" && k >= 1 && ctx.file.is_ident(toks[k - 1]) {
                 let name = texts[k - 1];
                 if candidates.contains(name) {
                     set.insert(name.to_string());
@@ -461,7 +449,7 @@ fn check_buffer_annotate(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
         }
         for name in ["launch_kernel", "launch_stream_op"] {
             for j in ctx.calls_of(toks, name) {
-                fact.0.insert(ctx.line(toks[j]));
+                fact.0.insert(ctx.file.line(toks[j]));
             }
         }
     };
@@ -486,7 +474,7 @@ fn check_buffer_annotate(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
             let Step::Code(toks) = step else { continue };
             for j in ctx.calls_of(toks, "memcpy_async") {
                 if let Some(&launch) = fact.0.iter().next() {
-                    let line = ctx.line(toks[j]);
+                    let line = ctx.file.line(toks[j]);
                     out.extend(mk_finding(
                         ctx,
                         Rule::ProtocolBufferAnnotate,
@@ -554,7 +542,7 @@ fn check_queue_drain(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
                         || (recv != "?" && fact.0.contains("?"))
                         || (recv == "?" && !fact.0.is_empty());
                     if hit {
-                        let line = ctx.line(toks[j]);
+                        let line = ctx.file.line(toks[j]);
                         out.extend(mk_finding(
                             ctx,
                             Rule::ProtocolQueueDrain,

@@ -1,12 +1,13 @@
 //! Nondeterminism taint analysis.
 //!
-//! Sources are the values the token rules already distrust — wall-clock
-//! reads, ad-hoc RNG, env reads, hash-ordered iteration — plus any
+//! Sources are the values the token rules already distrust — the reads
+//! of [`crate::effects::SOURCES`] (wall-clock, ad-hoc RNG, env) and
+//! iteration over its hash containers — plus any
 //! function armed with a `// dessan::taint-source` marker. Taint flows
 //! through `let` bindings, reassignments, compound assignments,
 //! destructuring binds (`for`/`match`/`if let`), and function calls whose
 //! resolved callee returns a tainted value (an under-approximate
-//! interprocedural step over [`crate::callgraph::CallIndex`]). Sinks are
+//! interprocedural step over [`crate::callgraph::Workspace`]). Sinks are
 //! the three places a nondeterministic value would corrupt the suite's
 //! byte-identical guarantee:
 //!
@@ -24,16 +25,16 @@
 //! hash-order taint, since order is then deterministic again.
 //!
 //! Deliberate approximations: field assignments (`self.x = …`) are not
-//! tracked; `#[cold]` fns are outside the call index (they inherit the
-//! hot-path walk's under-approximation); taint through collections is
+//! tracked; `#[cold]` fns are outside the call index (the call graph's
+//! under-approximation); taint through collections is
 //! only modeled for the variable as a whole. Test code is skipped.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{body_calls, Call, CallIndex, Node, WsFile};
+use crate::callgraph::{Node, Site, Workspace, WsFile};
 use crate::cfg::{self, LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
-use crate::lex::TokKind;
+use crate::effects::{is_hash_container, HASH_ITER_METHODS, SOURCES};
 use crate::lint::{LintFinding, Rule};
 
 /// Longest chain narrated in a finding; hops beyond it are elided.
@@ -95,17 +96,6 @@ impl Lattice for Facts {
     }
 }
 
-/// Methods whose call on a hash container yields hash-ordered values.
-const HASH_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "into_iter",
-    "drain",
-];
-
 /// Identifiers that can appear in patterns but are never variables.
 const PATTERN_NOISE: [&str; 9] = [
     "mut", "ref", "box", "self", "Some", "Ok", "Err", "None", "_",
@@ -115,72 +105,37 @@ const PATTERN_NOISE: [&str; 9] = [
 struct FnCtx<'a> {
     file: &'a WsFile,
     /// Call sites in this body, for summary lookup by (name, line).
-    calls: Vec<Call>,
-    node: Node,
+    sites: &'a [Site],
 }
 
 impl<'a> FnCtx<'a> {
-    fn text(&self, tok: usize) -> &'a str {
-        self.file.tokens[tok].text(&self.file.src)
-    }
-
-    fn line(&self, tok: usize) -> usize {
-        self.file.tokens[tok].line
-    }
-
-    fn is_ident(&self, tok: usize) -> bool {
-        matches!(
-            self.file.tokens[tok].kind,
-            TokKind::Ident | TokKind::RawIdent
-        )
-    }
-
     /// Does `toks[i..]` start the given text sequence?
     fn seq_at(&self, toks: &[usize], i: usize, pat: &[&str]) -> bool {
-        toks.len() >= i + pat.len() && (0..pat.len()).all(|j| self.text(toks[i + j]) == pat[j])
+        toks.len() >= i + pat.len() && (0..pat.len()).all(|j| self.file.text(toks[i + j]) == pat[j])
     }
 
     /// A direct nondeterminism source inside an expression.
     fn direct_source(&self, toks: &[usize]) -> Option<Taint> {
-        for i in 0..toks.len() {
-            let found: Option<(&'static str, &str)> =
-                if self.seq_at(toks, i, &["Instant", ":", ":", "now"]) {
-                    Some(("wall-clock", "Instant::now()"))
-                } else if self.seq_at(toks, i, &["SystemTime", ":", ":", "now"]) {
-                    Some(("wall-clock", "SystemTime::now()"))
-                } else if self.seq_at(toks, i, &["thread_rng"]) && self.is_ident(toks[i]) {
-                    Some(("ad-hoc-rng", "thread_rng()"))
-                } else if self.seq_at(toks, i, &["rand", ":", ":", "random"]) {
-                    Some(("ad-hoc-rng", "rand::random()"))
-                } else if self.seq_at(toks, i, &["env", ":", ":", "var"])
-                    || self.seq_at(toks, i, &["env", ":", ":", "vars"])
-                {
-                    Some(("env-read", "env::var read"))
-                } else {
-                    None
-                };
-            if let Some((origin, desc)) = found {
-                let line = self.line(toks[i]);
-                return Some(Taint {
-                    origin,
-                    desc: desc.to_string(),
-                    line,
-                    chain: vec![format!(
-                        "{}:{line}: {origin} source `{desc}`",
-                        self.file.path
-                    )],
-                });
-            }
-        }
-        None
+        (0..toks.len()).find_map(|i| {
+            let text = |j: usize| toks.get(j).map(|&t| self.file.text(t));
+            let s = SOURCES.iter().find(|s| s.read && s.at(i, text))?;
+            let (origin, line) = (s.rule.id(), self.file.line(toks[i]));
+            Some(Taint {
+                origin,
+                desc: s.text.to_string(),
+                line,
+                chain: vec![format!(
+                    "{}:{line}: {origin} source `{}`",
+                    self.file.path, s.text
+                )],
+            })
+        })
     }
 
     /// Does the expression construct a hash container?
     fn constructs_hash_container(&self, toks: &[usize]) -> bool {
         (0..toks.len()).any(|i| {
-            (self.text(toks[i]) == "HashMap" || self.text(toks[i]) == "HashSet")
-                && self.is_ident(toks[i])
-                && self.seq_at(toks, i + 1, &[":", ":"])
+            is_hash_container(self.file.text(toks[i])) && self.seq_at(toks, i + 1, &[":", ":"])
         })
     }
 
@@ -191,8 +146,6 @@ impl<'a> FnCtx<'a> {
         &self,
         toks: &[usize],
         facts: &Facts,
-        files: &[WsFile],
-        index: &CallIndex,
         summaries: &BTreeMap<Node, Taint>,
     ) -> Option<Taint> {
         let mut best: Option<Taint> = None;
@@ -208,20 +161,20 @@ impl<'a> FnCtx<'a> {
             consider(t);
         }
         for i in 0..toks.len() {
-            if !self.is_ident(toks[i]) {
+            if !self.file.is_ident(toks[i]) {
                 continue;
             }
-            let name = self.text(toks[i]);
-            let after_dot = i > 0 && self.text(toks[i - 1]) == ".";
-            let is_call = toks.get(i + 1).is_some_and(|&n| self.text(n) == "(");
+            let name = self.file.text(toks[i]);
+            let after_dot = i > 0 && self.file.text(toks[i - 1]) == ".";
+            let is_call = toks.get(i + 1).is_some_and(|&n| self.file.text(n) == "(");
             // Hash-ordered iteration: `container.iter()` etc.
             if !after_dot && facts.hash_containers.contains(name) {
                 let iterated = self.seq_at(toks, i + 1, &["."])
                     && toks
                         .get(i + 2)
-                        .is_some_and(|&m| HASH_ITER_METHODS.contains(&self.text(m)));
+                        .is_some_and(|&m| HASH_ITER_METHODS.contains(&self.file.text(m)));
                 if iterated {
-                    let line = self.line(toks[i]);
+                    let line = self.file.line(toks[i]);
                     consider(Taint {
                         origin: "hash-order",
                         desc: format!("hash-ordered iteration of `{name}`"),
@@ -242,10 +195,14 @@ impl<'a> FnCtx<'a> {
             }
             // Call to a fn whose return value is tainted.
             if is_call && !summaries.is_empty() {
-                let line = self.line(toks[i]);
-                if let Some(call) = self.calls.iter().find(|c| c.line == line && c.name == name) {
-                    for target in index.resolve(call, self.node, files) {
-                        if let Some(t) = summaries.get(&target) {
+                let line = self.file.line(toks[i]);
+                let site = self
+                    .sites
+                    .iter()
+                    .find(|s| s.call.line == line && s.call.name == name);
+                if let Some(site) = site {
+                    for target in &site.targets {
+                        if let Some(t) = summaries.get(target) {
                             consider(t.hop(format!(
                                 "{}:{line}: via call to `{name}` (returns tainted value)",
                                 self.file.path
@@ -263,10 +220,10 @@ impl<'a> FnCtx<'a> {
     fn pattern_vars(&self, pattern: &[usize]) -> Vec<String> {
         let mut out = Vec::new();
         for (j, &p) in pattern.iter().enumerate() {
-            if !self.is_ident(p) {
+            if !self.file.is_ident(p) {
                 continue;
             }
-            let name = self.text(p);
+            let name = self.file.text(p);
             if PATTERN_NOISE.contains(&name)
                 || !name
                     .chars()
@@ -276,13 +233,15 @@ impl<'a> FnCtx<'a> {
                 continue;
             }
             // Skip enum/struct path segments: the `b` of `a::b`.
-            if j > 0 && self.text(pattern[j - 1]) == ":" {
+            if j > 0 && self.file.text(pattern[j - 1]) == ":" {
                 continue;
             }
             out.push(name.to_string());
             // `name:` starts a type ascription — stop collecting there.
-            if pattern.get(j + 1).is_some_and(|&n| self.text(n) == ":")
-                && pattern.get(j + 2).is_none_or(|&n| self.text(n) != ":")
+            if pattern
+                .get(j + 1)
+                .is_some_and(|&n| self.file.text(n) == ":")
+                && pattern.get(j + 2).is_none_or(|&n| self.file.text(n) != ":")
             {
                 break;
             }
@@ -304,7 +263,7 @@ struct Assign {
 
 /// Split `toks` into an assignment, if it is one.
 fn parse_assign(ctx: &FnCtx, toks: &[usize]) -> Option<Assign> {
-    let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
+    let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
     if texts.first() == Some(&"let") {
         // `let <pattern>[: ty] = rhs`
         let mut depth = 0usize;
@@ -327,7 +286,7 @@ fn parse_assign(ctx: &FnCtx, toks: &[usize]) -> Option<Assign> {
                         lhs,
                         rhs: toks[i + 1..].to_vec(),
                         compound: false,
-                        line: ctx.line(toks[0]),
+                        line: ctx.file.line(toks[0]),
                     });
                 }
                 _ => {}
@@ -336,13 +295,13 @@ fn parse_assign(ctx: &FnCtx, toks: &[usize]) -> Option<Assign> {
         return None;
     }
     // `x = rhs`, `x += rhs`: single-ident lhs only (fields not tracked).
-    if toks.len() >= 3 && ctx.is_ident(toks[0]) {
+    if toks.len() >= 3 && ctx.file.is_ident(toks[0]) {
         if texts[1] == "=" && texts.get(2) != Some(&"=") {
             return Some(Assign {
                 lhs: vec![texts[0].to_string()],
                 rhs: toks[2..].to_vec(),
                 compound: false,
-                line: ctx.line(toks[0]),
+                line: ctx.file.line(toks[0]),
             });
         }
         if matches!(texts[1], "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^")
@@ -352,7 +311,7 @@ fn parse_assign(ctx: &FnCtx, toks: &[usize]) -> Option<Assign> {
                 lhs: vec![texts[0].to_string()],
                 rhs: toks[3..].to_vec(),
                 compound: true,
-                line: ctx.line(toks[0]),
+                line: ctx.file.line(toks[0]),
             });
         }
     }
@@ -361,7 +320,7 @@ fn parse_assign(ctx: &FnCtx, toks: &[usize]) -> Option<Assign> {
 
 /// Sinks in one step: `(what, via, line, argument tokens)`.
 fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usize, Vec<usize>)> {
-    let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
+    let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
     let mut out = Vec::new();
     for i in 0..toks.len() {
         // `.schedule(` — only the first (timestamp) argument matters;
@@ -389,7 +348,7 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
             out.push((
                 "an event timestamp",
                 ".schedule(…) first argument",
-                ctx.line(toks[i + 1]),
+                ctx.file.line(toks[i + 1]),
                 arg,
             ));
         }
@@ -398,7 +357,7 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
             ("push_row", "a rendered table cell", "push_row(…)"),
             ("fnv1a", "an FNV digest", "fnv1a(…)"),
         ] {
-            if texts[i] == name && ctx.is_ident(toks[i]) && texts.get(i + 1) == Some(&"(") {
+            if texts[i] == name && ctx.file.is_ident(toks[i]) && texts.get(i + 1) == Some(&"(") {
                 let mut depth = 1usize;
                 let mut args = Vec::new();
                 for j in i + 2..toks.len() {
@@ -414,7 +373,7 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
                     }
                     args.push(toks[j]);
                 }
-                out.push((what, via, ctx.line(toks[i]), args));
+                out.push((what, via, ctx.file.line(toks[i]), args));
             }
         }
     }
@@ -424,13 +383,10 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
 /// Apply one step's effect to `facts`; when `sink_findings` is set, also
 /// check sinks (against the facts *before* the step's assignment) and
 /// record return-value taint for steps listed in `return_steps`.
-#[allow(clippy::too_many_arguments)]
 fn apply_step(
     ctx: &FnCtx,
     step: &Step,
     facts: &mut Facts,
-    files: &[WsFile],
-    index: &CallIndex,
     summaries: &BTreeMap<Node, Taint>,
     return_steps: &BTreeSet<usize>,
     mut sink_findings: Option<&mut Vec<LintFinding>>,
@@ -438,16 +394,15 @@ fn apply_step(
 ) {
     match step {
         Step::Bind { pattern, source } => {
-            let mut taint = ctx.expr_taint(source, facts, files, index, summaries);
+            let mut taint = ctx.expr_taint(source, facts, summaries);
             // Iterating a hash container directly (`for k in map`) is
             // hash-ordered even without an explicit `.iter()`.
             if taint.is_none() {
-                if let Some(&h) = source
-                    .iter()
-                    .find(|&&t| ctx.is_ident(t) && facts.hash_containers.contains(ctx.text(t)))
-                {
-                    let name = ctx.text(h);
-                    let line = ctx.line(h);
+                if let Some(&h) = source.iter().find(|&&t| {
+                    ctx.file.is_ident(t) && facts.hash_containers.contains(ctx.file.text(t))
+                }) {
+                    let name = ctx.file.text(h);
+                    let line = ctx.file.line(h);
                     taint = Some(Taint {
                         origin: "hash-order",
                         desc: format!("hash-ordered iteration of `{name}`"),
@@ -464,7 +419,7 @@ fn apply_step(
                     let hop = t.hop(format!(
                         "{}:{}: bound to `{v}`",
                         ctx.file.path,
-                        pattern.first().map_or(t.line, |&p| ctx.line(p))
+                        pattern.first().map_or(t.line, |&p| ctx.file.line(p))
                     ));
                     facts.vars.insert(v, hop);
                 }
@@ -478,7 +433,7 @@ fn apply_step(
             // Sinks see the facts *before* this statement's assignment.
             if let Some(findings) = sink_findings.as_mut() {
                 for (what, via, line, args) in sinks_in(ctx, toks) {
-                    if let Some(t) = ctx.expr_taint(&args, facts, files, index, summaries) {
+                    if let Some(t) = ctx.expr_taint(&args, facts, summaries) {
                         if !ctx.file.items.waived(Rule::NondetTaint.id(), line) {
                             let mut chain = t.chain.clone();
                             chain.push(format!("{}:{line}: sink {via}", ctx.file.path));
@@ -501,7 +456,7 @@ fn apply_step(
             // Return-value taint for the interprocedural summary.
             if let Some(&first) = toks.first() {
                 if return_steps.contains(&first) {
-                    if let Some(t) = ctx.expr_taint(toks, facts, files, index, summaries) {
+                    if let Some(t) = ctx.expr_taint(toks, facts, summaries) {
                         if ret_taint
                             .as_ref()
                             .is_none_or(|r| (t.line, &t.desc) < (r.line, &r.desc))
@@ -513,13 +468,13 @@ fn apply_step(
             }
             // Sanitizer: sorting makes hash-ordered data deterministic.
             for i in 0..toks.len() {
-                if ctx.is_ident(toks[i])
+                if ctx.file.is_ident(toks[i])
                     && ctx.seq_at(toks, i + 1, &["."])
                     && toks
                         .get(i + 2)
-                        .is_some_and(|&m| ctx.text(m).starts_with("sort"))
+                        .is_some_and(|&m| ctx.file.text(m).starts_with("sort"))
                 {
-                    let name = ctx.text(toks[i]).to_string();
+                    let name = ctx.file.text(toks[i]).to_string();
                     if facts
                         .vars
                         .get(&name)
@@ -537,7 +492,7 @@ fn apply_step(
                     }
                     return;
                 }
-                let taint = ctx.expr_taint(&a.rhs, facts, files, index, summaries);
+                let taint = ctx.expr_taint(&a.rhs, facts, summaries);
                 for v in a.lhs {
                     match (&taint, a.compound) {
                         (Some(t), _) => {
@@ -566,13 +521,12 @@ fn apply_step(
 /// Analyze one function: fixpoint its facts, optionally collect sink
 /// findings, and return its return value's taint (for summaries).
 fn analyze_fn(
-    files: &[WsFile],
+    ws: &Workspace,
     node: Node,
-    index: &CallIndex,
     summaries: &BTreeMap<Node, Taint>,
     findings: Option<&mut Vec<LintFinding>>,
 ) -> Option<Taint> {
-    let file = &files[node.0];
+    let file = &ws.files[node.0];
     let f = &file.items.fns[node.1];
     let cfg = cfg::build(
         &file.src,
@@ -582,8 +536,7 @@ fn analyze_fn(
     );
     let ctx = FnCtx {
         file,
-        calls: body_calls(&file.src, &file.tokens, f.body_tokens.clone()),
-        node,
+        sites: ws.sites(node),
     };
     let mut sink_scratch = None;
     let inputs = solve(
@@ -598,8 +551,6 @@ fn analyze_fn(
                     &ctx,
                     step,
                     &mut facts,
-                    files,
-                    index,
                     summaries,
                     &cfg.return_steps,
                     None,
@@ -622,8 +573,6 @@ fn analyze_fn(
                 &ctx,
                 step,
                 &mut facts,
-                files,
-                index,
                 summaries,
                 &cfg.return_steps,
                 want_findings.then_some(&mut sink_acc),
@@ -637,33 +586,26 @@ fn analyze_fn(
     ret
 }
 
-/// Run the taint analysis over `files` (pass a single-file slice for the
-/// per-file entry point, the whole workspace for `dessan-lint`).
-pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
-    let index = CallIndex::build(files);
-    let mut nodes: Vec<Node> = Vec::new();
+/// Run the taint analysis over a workspace (a one-file workspace for the
+/// per-file entry point, the whole tree for `dessan-lint`).
+pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
+    let files = ws.files;
+    let nodes: Vec<Node> = ws.fns().map(|(node, _)| node).collect();
     let mut summaries: BTreeMap<Node, Taint> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.items.fns.iter().enumerate() {
-            if f.in_test || f.body_tokens.is_empty() {
-                continue;
-            }
-            nodes.push((fi, gi));
-            if f.taint_source {
-                summaries.insert(
-                    (fi, gi),
-                    Taint {
-                        origin: "taint-source",
-                        desc: format!("`{}` (dessan::taint-source)", f.name),
-                        line: f.sig_line,
-                        chain: vec![format!(
-                            "{}:{}: marked taint source `{}`",
-                            file.path, f.sig_line, f.name
-                        )],
-                    },
-                );
-            }
-        }
+    for (node, f) in ws.fns().filter(|(_, f)| f.taint_source) {
+        let path = &files[node.0].path;
+        summaries.insert(
+            node,
+            Taint {
+                origin: "taint-source",
+                desc: format!("`{}` (dessan::taint-source)", f.name),
+                line: f.sig_line,
+                chain: vec![format!(
+                    "{path}:{}: marked taint source `{}`",
+                    f.sig_line, f.name
+                )],
+            },
+        );
     }
 
     // Interprocedural fixpoint: summaries only grow, so this terminates;
@@ -674,7 +616,7 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
             if summaries.contains_key(&node) {
                 continue;
             }
-            if let Some(t) = analyze_fn(files, node, &index, &summaries, None) {
+            if let Some(t) = analyze_fn(ws, node, &summaries, None) {
                 let f = &files[node.0].items.fns[node.1];
                 summaries.insert(
                     node,
@@ -693,7 +635,7 @@ pub fn findings(files: &[WsFile]) -> Vec<LintFinding> {
 
     let mut out = Vec::new();
     for &node in &nodes {
-        analyze_fn(files, node, &index, &summaries, Some(&mut out));
+        analyze_fn(ws, node, &summaries, Some(&mut out));
     }
     // One finding per (path, line, message); loops can replay a sink.
     out.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
@@ -708,7 +650,7 @@ mod tests {
 
     fn taint_findings(src: &str) -> Vec<LintFinding> {
         let file = ws_file("crates/simtime/src/fake.rs", src, &[]);
-        findings(std::slice::from_ref(&file))
+        findings(&Workspace::build(std::slice::from_ref(&file)))
     }
 
     #[test]

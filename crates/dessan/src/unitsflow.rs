@@ -27,8 +27,7 @@ use std::collections::BTreeMap;
 use crate::callgraph::WsFile;
 use crate::cfg::{self, LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
-use crate::lex::TokKind;
-use crate::lint::{LintFinding, Rule};
+use crate::lint::{crate_of, LintFinding, Rule};
 
 /// Crates in scope: the ones whose arithmetic carries physical units.
 const SCOPE_CRATES: [&str; 4] = ["memmodel", "simtime", "netsim", "machines"];
@@ -130,21 +129,6 @@ struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    fn text(&self, tok: usize) -> &'a str {
-        self.file.tokens[tok].text(&self.file.src)
-    }
-
-    fn line(&self, tok: usize) -> usize {
-        self.file.tokens[tok].line
-    }
-
-    fn is_ident(&self, tok: usize) -> bool {
-        matches!(
-            self.file.tokens[tok].kind,
-            TokKind::Ident | TokKind::RawIdent
-        )
-    }
-
     /// The unit of one multiplicative atom chain: walk its elements; the
     /// last unit-bearing element (extractor, qualifier, suffixed ident,
     /// known variable) wins. Unrecognized elements don't reset — `x_us as
@@ -152,10 +136,10 @@ impl<'a> Ctx<'a> {
     fn atom_unit(&self, toks: &[usize], vars: &BTreeMap<String, UnitDim>) -> Option<UnitDim> {
         let mut unit = None;
         for (j, &t) in toks.iter().enumerate() {
-            if !self.is_ident(t) {
+            if !self.file.is_ident(t) {
                 continue;
             }
-            let name = self.text(t);
+            let name = self.file.text(t);
             if let Some(u) = UnitDim::of_constructor(name) {
                 unit = Some(u);
                 continue;
@@ -166,7 +150,7 @@ impl<'a> Ctx<'a> {
             }
             // A known variable only counts as a bare read (not a path
             // segment or method name).
-            let after_dot_or_colon = j > 0 && matches!(self.text(toks[j - 1]), "." | ":");
+            let after_dot_or_colon = j > 0 && matches!(self.file.text(toks[j - 1]), "." | ":");
             if !after_dot_or_colon {
                 if let Some(&u) = vars.get(name) {
                     unit = Some(u);
@@ -183,7 +167,7 @@ impl<'a> Ctx<'a> {
         let mut factors: Vec<Vec<usize>> = vec![Vec::new()];
         let mut depth = 0usize;
         for (j, &t) in toks.iter().enumerate() {
-            match self.text(t) {
+            match self.file.text(t) {
                 "(" | "[" => depth += 1,
                 ")" | "]" => depth = depth.saturating_sub(1),
                 "/" if depth == 0 => return None,
@@ -191,7 +175,7 @@ impl<'a> Ctx<'a> {
                 // or doubled `*` is a deref.
                 "*" if depth == 0
                     && j > 0
-                    && !matches!(self.text(toks[j - 1]), "*" | "&" | "(")
+                    && !matches!(self.file.text(toks[j - 1]), "*" | "&" | "(")
                     && !factors.last().is_some_and(|f| f.is_empty()) =>
                 {
                     factors.push(Vec::new());
@@ -280,7 +264,7 @@ fn check_run(
     vars: &BTreeMap<String, UnitDim>,
     out: &mut Vec<LintFinding>,
 ) {
-    let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
+    let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
     let mut group = Group::new();
     let flush = |g: &mut Group, out: &mut Vec<LintFinding>| {
         flush_group(ctx, g, vars, out);
@@ -349,7 +333,7 @@ fn check_run(
                 }
                 if t == "+" && next == Some("=") || t == "-" && next == Some("=") {
                     // Compound assignment: the lhs and rhs DO combine.
-                    group.split(if t == "+" { "+=" } else { "-=" }, ctx.line(toks[i]));
+                    group.split(if t == "+" { "+=" } else { "-=" }, ctx.file.line(toks[i]));
                     i += 2;
                     continue;
                 }
@@ -359,7 +343,7 @@ fn check_run(
                     i += 1;
                     continue;
                 }
-                group.split(if t == "+" { "+" } else { "-" }, ctx.line(toks[i]));
+                group.split(if t == "+" { "+" } else { "-" }, ctx.file.line(toks[i]));
                 i += 1;
                 continue;
             }
@@ -403,13 +387,13 @@ fn check_run(
                 } else {
                     ">"
                 };
-                group.split(op, ctx.line(toks[i])); // line of the op char
+                group.split(op, ctx.file.line(toks[i])); // line of the op char
                 i += 1;
                 continue;
             }
             "=" => {
                 if texts.get(i + 1) == Some(&"=") {
-                    group.split("==", ctx.line(toks[i]));
+                    group.split("==", ctx.file.line(toks[i]));
                     i += 2;
                     continue;
                 }
@@ -421,7 +405,7 @@ fn check_run(
                 continue;
             }
             "!" if texts.get(i + 1) == Some(&"=") => {
-                group.split("!=", ctx.line(toks[i]));
+                group.split("!=", ctx.file.line(toks[i]));
                 i += 2;
                 continue;
             }
@@ -451,16 +435,16 @@ fn apply_step(ctx: &Ctx, step: &Step, env: &mut Env) {
         Step::Bind { pattern, .. } => {
             // Destructured values have unknown units.
             for &p in pattern.iter() {
-                if ctx.is_ident(p) {
-                    vars.remove(ctx.text(p));
+                if ctx.file.is_ident(p) {
+                    vars.remove(ctx.file.text(p));
                 }
             }
         }
         Step::Code(toks) => {
-            let texts: Vec<&str> = toks.iter().map(|&t| ctx.text(t)).collect();
+            let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
             if texts.first() != Some(&"let") {
                 // Plain reassignment: drop the old fact.
-                if toks.len() >= 2 && ctx.is_ident(toks[0]) && texts.get(1) == Some(&"=") {
+                if toks.len() >= 2 && ctx.file.is_ident(toks[0]) && texts.get(1) == Some(&"=") {
                     vars.remove(texts[0]);
                 }
                 return;
@@ -470,7 +454,7 @@ fn apply_step(ctx: &Ctx, step: &Step, env: &mut Env) {
             if texts.get(k) == Some(&"mut") {
                 k += 1;
             }
-            if k >= toks.len() || !ctx.is_ident(toks[k]) {
+            if k >= toks.len() || !ctx.file.is_ident(toks[k]) {
                 return;
             }
             let name = texts[k];
@@ -517,11 +501,11 @@ fn unit_of_sum(ctx: &Ctx, toks: &[usize], vars: &BTreeMap<String, UnitDim>) -> O
     let mut parts: Vec<Vec<usize>> = vec![Vec::new()];
     let mut depth = 0usize;
     for (j, &t) in toks.iter().enumerate() {
-        match ctx.text(t) {
+        match ctx.file.text(t) {
             "(" | "[" => depth += 1,
             ")" | "]" => depth = depth.saturating_sub(1),
             "+" | "-" if depth == 0 && j > 0 => {
-                let prev = ctx.text(toks[j - 1]);
+                let prev = ctx.file.text(toks[j - 1]);
                 if !matches!(
                     prev,
                     "+" | "-" | "*" | "/" | "=" | "<" | ">" | "(" | "[" | ","
@@ -546,12 +530,7 @@ fn unit_of_sum(ctx: &Ctx, toks: &[usize], vars: &BTreeMap<String, UnitDim>) -> O
 
 /// Run the units-flow analysis over one file.
 pub fn findings(file: &WsFile) -> Vec<LintFinding> {
-    let krate = file
-        .path
-        .strip_prefix("crates/")
-        .and_then(|r| r.split('/').next())
-        .unwrap_or("");
-    if !SCOPE_CRATES.contains(&krate) {
+    if !crate_of(&file.path).is_some_and(|k| SCOPE_CRATES.contains(&k)) {
         return Vec::new();
     }
     let ctx = Ctx { file };

@@ -103,6 +103,7 @@ fn fixtures_cover_all_dataflow_rules() {
         }
     }
     for required in [
+        "hot-path-alloc",
         "nondet-taint",
         "units-flow",
         "protocol-send-wait",

@@ -4,7 +4,8 @@
 //! text carries no finding of the rule under test, applies a one-line
 //! mutation of the kind the rule exists to catch (drop a recv, reorder
 //! an event_record, strip a buffer annotation, break a unit conversion,
-//! seed a timestamp from the wall clock), and asserts the mutant is
+//! seed a timestamp from the wall clock, call an allocating helper from a
+//! hot fn), and asserts the mutant is
 //! flagged. This is the end-to-end guarantee that the checkers detect
 //! the bug classes they claim to — not just on fixtures, but on the
 //! actual code they gate.
@@ -178,6 +179,20 @@ fn sleep_in_hot_drain_is_caught_by_effect_contract() {
 }
 
 #[test]
+fn allocating_helper_call_is_caught_by_hot_path_alloc() {
+    // Lazily arming the sanitizer from the hot receive path boxes a
+    // checker inside the per-message loop: the allocation sits in a
+    // non-hot helper, one call below the hot fn.
+    assert_mutation_detected(
+        "crates/mpisim/src/world.rs",
+        "-> Result<SimTime, MpiError> {\n        if at.0 >= self.clocks.len() {",
+        "-> Result<SimTime, MpiError> {\n        self.enable_checks();\n        \
+         if at.0 >= self.clocks.len() {",
+        "hot-path-alloc",
+    );
+}
+
+#[test]
 fn unmutated_targets_are_clean_across_all_rules() {
     // The mutation targets must stay finding-free in their pristine form
     // for every rule, not just the one under test — otherwise a mutation
@@ -190,6 +205,7 @@ fn unmutated_targets_are_clean_across_all_rules() {
         "crates/core/src/query.rs",
         "crates/doebenchd/src/cache.rs",
         "crates/simtime/src/shard.rs",
+        "crates/mpisim/src/world.rs",
     ] {
         let src = std::fs::read_to_string(workspace_root().join(rel))
             .unwrap_or_else(|e| panic!("{rel}: {e}"));
