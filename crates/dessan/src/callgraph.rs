@@ -1,7 +1,10 @@
 //! The workspace call graph: parsed files, a heuristically name-resolved
 //! call index, and every fn's call sites resolved once per lint run
 //! ([`Workspace`]). The workspace passes (taint, effects, locks, key
-//! coverage) all read this one graph.
+//! coverage) all read this one graph, and the interprocedural summaries
+//! (effect sets, taint's return-value summaries) all run on its one
+//! engine, [`Workspace::fixpoint`]. Each [`WsFile`] owns its fns' CFGs,
+//! built on first use and shared by every pass ([`WsFile::cfg`]).
 //!
 //! Resolution is deliberately conservative — the goal is a useful gate
 //! with near-zero false positives, not a compiler:
@@ -20,8 +23,10 @@
 //! test function. A `// doebench::cold-call` marker at the call site
 //! flags the edge as cold; the effect walk ([`crate::effects`]) skips it.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
+use crate::cfg::{self, Cfg, LoopShape};
 use crate::items::{FileItems, FnItem};
 use crate::lex::{TokKind, Token};
 use crate::lint::crate_of;
@@ -275,6 +280,8 @@ pub struct WsFile {
     pub tokens: Vec<Token>,
     /// Its parsed items.
     pub items: FileItems,
+    /// Per fn of `items.fns`, one CFG slot per [`LoopShape`].
+    cfgs: Vec<[OnceLock<Cfg>; 2]>,
 }
 
 impl WsFile {
@@ -296,6 +303,16 @@ impl WsFile {
     /// Is token `tok` an identifier (raw or not)?
     pub fn is_ident(&self, tok: usize) -> bool {
         matches!(self.tokens[tok].kind, TokKind::Ident | TokKind::RawIdent)
+    }
+
+    /// The CFG of fn `f` (an index into `items.fns`) with loops lowered
+    /// as `shape`. Built on first use and kept with the file, so every
+    /// pass of a run reads the same one.
+    pub fn cfg(&self, f: usize, shape: LoopShape) -> &Cfg {
+        self.cfgs[f][shape as usize].get_or_init(|| {
+            let body = self.items.fns[f].body_tokens.clone();
+            cfg::build(&self.src, &self.tokens, body, shape)
+        })
     }
 }
 
@@ -395,12 +412,47 @@ impl<'a> Workspace<'a> {
         self.sites.get(&node).map_or(&[], Vec::as_slice)
     }
 
+    /// The interprocedural summary engine: start from `sums` and run
+    /// `update(node, &sums)` in rounds until no summary changes. Round
+    /// one visits every fn of [`Self::fns`]; later rounds visit only the
+    /// callers (through any resolved call site) of the fns whose summary
+    /// changed in the round before. `update` returns a node's new summary,
+    /// or `None` when it is unchanged. Updates are staged: a round reads
+    /// the summaries of the round before, so a summary that needs `d`
+    /// calls to arise arises in round `d` and keeps a shortest chain.
+    /// There is no round cap: `update` must only ever grow a summary
+    /// within a finite domain, which bounds the rounds.
+    pub fn fixpoint<S>(
+        &self,
+        mut sums: BTreeMap<Node, S>,
+        mut update: impl FnMut(Node, &BTreeMap<Node, S>) -> Option<S>,
+    ) -> BTreeMap<Node, S> {
+        let mut callers: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
+        for (&caller, sites) in &self.sites {
+            for &callee in sites.iter().flat_map(|s| &s.targets) {
+                callers.entry(callee).or_default().push(caller);
+            }
+        }
+        let mut dirty: BTreeSet<Node> = self.sites.keys().copied().collect();
+        while !dirty.is_empty() {
+            let changed: Vec<(Node, S)> = dirty
+                .iter()
+                .filter_map(|&node| Some((node, update(node, &sums)?)))
+                .collect();
+            dirty = changed
+                .iter()
+                .flat_map(|(node, _)| callers.get(node).into_iter().flatten().copied())
+                .collect();
+            sums.extend(changed);
+        }
+        sums
+    }
+
     /// Resolve one call site to candidate workspace fns (possibly empty).
     fn resolve(&self, call: &Call, caller: Node) -> Vec<Node> {
         let files = self.files;
         let (by_name, by_qual) = (&self.index.by_name, &self.index.by_qual);
         let caller_fn = &files[caller.0].items.fns[caller.1];
-        let caller_path = &files[caller.0].path;
         match (&call.qual, call.recv) {
             (Some(q), _) => {
                 let q = if q == "Self" {
@@ -424,25 +476,7 @@ impl<'a> Workspace<'a> {
                 if STD_MODULES.contains(&q) {
                     return Vec::new();
                 }
-                let free: Vec<Node> = by_name
-                    .get(call.name.as_str())
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
-                    .collect();
-                let same_crate: Vec<Node> = free
-                    .iter()
-                    .copied()
-                    .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
-                    .collect();
-                if !same_crate.is_empty() {
-                    return same_crate;
-                }
-                if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
-                    return free;
-                }
-                Vec::new()
+                self.free_fns(&call.name, caller, false)
             }
             (None, Recv::SelfDot) => {
                 let Some(q) = &caller_fn.qual else {
@@ -460,31 +494,7 @@ impl<'a> Workspace<'a> {
                     same_file
                 }
             }
-            (None, Recv::Bare) => {
-                let all = by_name.get(call.name.as_str()).cloned().unwrap_or_default();
-                let free: Vec<Node> = all
-                    .iter()
-                    .copied()
-                    .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
-                    .collect();
-                let same_file: Vec<Node> =
-                    free.iter().copied().filter(|n| n.0 == caller.0).collect();
-                if !same_file.is_empty() {
-                    return same_file;
-                }
-                let same_crate: Vec<Node> = free
-                    .iter()
-                    .copied()
-                    .filter(|&(fi, _)| crate_of(&files[fi].path) == crate_of(caller_path))
-                    .collect();
-                if !same_crate.is_empty() {
-                    return same_crate;
-                }
-                if free.len() == 1 && !STD_METHODS.contains(&call.name.as_str()) {
-                    return free;
-                }
-                Vec::new()
-            }
+            (None, Recv::Bare) => self.free_fns(&call.name, caller, true),
             (None, Recv::OtherDot) => {
                 if STD_METHODS.contains(&call.name.as_str()) {
                     return Vec::new();
@@ -498,6 +508,34 @@ impl<'a> Workspace<'a> {
             }
         }
     }
+
+    /// The free fns named `name` a call from `caller` resolves to: those
+    /// in the caller's file (when `file_first`), else those in its crate,
+    /// else the workspace's only one unless `name` is a std method.
+    fn free_fns(&self, name: &str, caller: Node, file_first: bool) -> Vec<Node> {
+        let files = self.files;
+        let by_name = self.index.by_name.get(name).into_iter().flatten();
+        let free: Vec<Node> = by_name
+            .copied()
+            .filter(|&(fi, gi)| files[fi].items.fns[gi].qual.is_none())
+            .collect();
+        let caller_crate = crate_of(&files[caller.0].path);
+        let pick = |near: &dyn Fn(Node) -> bool| -> Vec<Node> {
+            free.iter().copied().filter(|&n| near(n)).collect()
+        };
+        let same_file = pick(&|n| file_first && n.0 == caller.0);
+        if !same_file.is_empty() {
+            return same_file;
+        }
+        let same_crate = pick(&|n| crate_of(&files[n.0].path) == caller_crate);
+        if !same_crate.is_empty() {
+            return same_crate;
+        }
+        if free.len() == 1 && !STD_METHODS.contains(&name) {
+            return free;
+        }
+        Vec::new()
+    }
 }
 
 /// Build a [`WsFile`] from a path and source text.
@@ -507,6 +545,7 @@ pub fn ws_file(path: &str, src: &str, extra_hot: &[String]) -> WsFile {
         path: path.to_string(),
         src: src.to_string(),
         tokens,
+        cfgs: items.fns.iter().map(|_| Default::default()).collect(),
         items,
     }
 }
@@ -532,6 +571,35 @@ mod tests {
 
     fn sites(f: &[LintFinding]) -> Vec<(&str, usize)> {
         f.iter().map(|f| (f.path.as_str(), f.line)).collect()
+    }
+
+    #[test]
+    fn fixpoint_is_uncapped_and_revisits_only_callers_of_changes() {
+        // f0 -> f1 -> … -> f29, declared caller-first, plus an unrelated
+        // fn. The summary is the call depth down to f29.
+        let mut src: String = (0..29)
+            .map(|i| format!("fn f{i}() {{\n    f{}();\n}}\n", i + 1))
+            .collect();
+        src.push_str("fn f29() {}\nfn lone() {}\n");
+        let files = [ws_file("crates/x/src/lib.rs", &src, &[])];
+        let ws = Workspace::build(&files);
+        let name = |n: Node| files[n.0].items.fns[n.1].name.as_str();
+        let bottom = ws.fns().find(|(_, f)| f.name == "f29").unwrap().0;
+        let mut visits: BTreeMap<&str, usize> = BTreeMap::new();
+        let sums = ws.fixpoint(BTreeMap::from([(bottom, 0)]), |node, sums| {
+            *visits.entry(name(node)).or_default() += 1;
+            let below = ws.sites(node).iter().flat_map(|s| &s.targets);
+            let depth = below.filter_map(|t| sums.get(t)).min()? + 1;
+            (!sums.contains_key(&node)).then_some(depth)
+        });
+        let depth_of_f0 = sums.iter().find(|(&n, _)| name(n) == "f0");
+        assert_eq!(depth_of_f0.map(|(_, &d)| d), Some(29));
+        // Round one visits all 31 fns; each later round only the caller
+        // of the fn that changed in the round before.
+        assert_eq!(visits["lone"], 1);
+        assert_eq!(visits["f29"], 1);
+        assert_eq!(visits["f0"], 2);
+        assert_eq!(visits.values().sum::<usize>(), 31 + 28);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Interprocedural effect summaries: declared effect contracts and the
 //! `hot-path-alloc` rule.
 //!
-//! A bottom-up fixpoint over the workspace call graph ([`crate::callgraph`])
-//! computes, for every function, the set of *observable effects* its
-//! transitive call closure can exhibit:
+//! The workspace's one summary engine ([`Workspace::fixpoint`]) computes,
+//! bottom-up over the call graph ([`crate::callgraph`]), for every
+//! function the set of *observable effects* its transitive call closure
+//! can exhibit:
 //!
 //! | effect        | detected from                                           |
 //! |---------------|---------------------------------------------------------|
@@ -357,63 +358,44 @@ fn direct_effects(file: &WsFile, f: &FnItem) -> Vec<(Effect, String)> {
     out
 }
 
-/// Compute the effect summary of every non-test function with a body.
-/// Deterministic: nodes are iterated in `(file, fn)` order, calls in line
-/// order, and the first origin recorded for an effect is kept. A hot fn's
-/// own allocations are not in its summary (see the module docs).
+/// Compute the effect summary of every non-test function with a body:
+/// its direct effects, then its non-cold callees' summaries joined in on
+/// the workspace's summary engine ([`Workspace::fixpoint`]; effect sets
+/// only grow, over a finite domain). Deterministic: callees are read in
+/// call-site order and the first origin recorded for an effect is kept.
+/// A hot fn's own allocations are not in its summary (see the module
+/// docs).
 pub fn summaries(ws: &Workspace) -> BTreeMap<Node, EffectSet> {
     let files = ws.files;
-    let mut sums: BTreeMap<Node, EffectSet> = BTreeMap::new();
-    let mut edges: BTreeMap<Node, Vec<Node>> = BTreeMap::new();
-    for (node, f) in ws.fns() {
-        let chain = vec![f.name.clone()];
-        let set = direct_effects(&files[node.0], f)
-            .into_iter()
-            .map(|(eff, desc)| {
-                (
-                    eff,
-                    Origin {
-                        desc,
-                        chain: chain.clone(),
-                    },
-                )
-            })
-            .collect();
-        sums.insert(node, set);
-        let mut es = Vec::new();
-        for site in ws.sites(node).iter().filter(|s| !s.cold) {
-            for &target in &site.targets {
-                if target != node && !es.contains(&target) {
-                    es.push(target);
+    let direct = ws
+        .fns()
+        .map(|(node, f)| {
+            let set = direct_effects(&files[node.0], f)
+                .into_iter()
+                .map(|(eff, desc)| {
+                    let chain = vec![f.name.clone()];
+                    (eff, Origin { desc, chain })
+                })
+                .collect();
+            (node, set)
+        })
+        .collect();
+    ws.fixpoint(direct, |node, sums: &BTreeMap<Node, EffectSet>| {
+        let caller = &files[node.0].items.fns[node.1].name;
+        let mut grown: Option<EffectSet> = None;
+        let callees = ws.sites(node).iter().filter(|s| !s.cold);
+        for callee in callees.flat_map(|s| &s.targets).filter(|&&t| t != node) {
+            for (&eff, origin) in &sums[callee] {
+                if !sums[&node].contains_key(&eff) {
+                    grown
+                        .get_or_insert_with(|| sums[&node].clone())
+                        .entry(eff)
+                        .or_insert_with(|| origin.called_from(caller));
                 }
             }
         }
-        edges.insert(node, es);
-    }
-    // Monotone fixpoint, one call level per round (so each origin keeps a
-    // shortest chain): effects only accumulate, so this terminates.
-    loop {
-        let mut pending: BTreeMap<(Node, Effect), Origin> = BTreeMap::new();
-        for (&node, es) in &edges {
-            let caller = &files[node.0].items.fns[node.1].name;
-            for callee in es {
-                for (&eff, origin) in &sums[callee] {
-                    if !sums[&node].contains_key(&eff) {
-                        pending
-                            .entry((node, eff))
-                            .or_insert_with(|| origin.called_from(caller));
-                    }
-                }
-            }
-        }
-        if pending.is_empty() {
-            break;
-        }
-        for ((node, eff), origin) in pending {
-            sums.entry(node).or_default().insert(eff, origin);
-        }
-    }
-    sums
+        grown
+    })
 }
 
 /// Effects a contract forbids.
@@ -574,6 +556,35 @@ fn park(h: std::thread::JoinHandle<()>) {
             f[0].message
         );
         assert_eq!(f[0].chain, vec!["entry", "step", "park"]);
+    }
+
+    #[test]
+    fn staged_rounds_keep_the_shortest_chain() {
+        // Declared callee-first, with the long path called first: a pass
+        // that updated summaries in place would report
+        // `entry -> far -> farther -> park`.
+        let src = "\
+fn park(h: std::thread::JoinHandle<()>) {
+    h.join();
+}
+fn farther() {
+    park();
+}
+fn far() {
+    farther();
+}
+fn near(rx: std::sync::mpsc::Receiver<u32>) {
+    rx.recv();
+}
+// doebench::effects(no-block)
+fn entry() {
+    far();
+    near();
+}
+";
+        let f = single(src);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].chain, ["entry", "near"]);
     }
 
     #[test]

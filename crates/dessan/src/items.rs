@@ -75,14 +75,6 @@ pub struct FileItems {
 }
 
 impl FileItems {
-    /// The innermost function whose span covers `line`, if any.
-    pub fn fn_at_line(&self, line: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.sig_line <= line && line <= f.end_line)
-            .min_by_key(|f| f.end_line - f.sig_line)
-    }
-
     /// Is `rule` waived at `line`, either file-wide or by a waiver comment
     /// on the line itself / the line above?
     pub fn waived(&self, rule: &str, line: usize) -> bool {
@@ -743,9 +735,12 @@ mod tests {
     fn nested_fns_are_recorded() {
         let src = "fn outer() {\n    fn inner() {}\n    inner();\n}\n";
         let it = items_of(src);
-        assert_eq!(it.fns.len(), 2);
-        assert_eq!(it.fn_at_line(2).unwrap().name, "inner");
-        assert_eq!(it.fn_at_line(3).unwrap().name, "outer");
+        let spans: Vec<_> = it
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.sig_line, f.end_line))
+            .collect();
+        assert_eq!(spans, [("outer", 1, 4), ("inner", 2, 2)]);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!    machine-readable output); justified sites carry in-source
 //!    `dessan::allow(<rule>): <reason>` waivers next to the code they
 //!    excuse. On top of the same token stream sits a dataflow layer: an
-//!    intraprocedural CFG builder ([`cfg`]) and worklist solver
+//!    intraprocedural CFG builder ([`cfg`]; each fn's CFG is built once
+//!    per run and owned by its [`callgraph::WsFile`]) and worklist solver
 //!    ([`dataflow`]) powering nondeterminism-taint tracking ([`taint`]:
 //!    source→sink chains from wall-clock/RNG/hash-order/env reads into
 //!    event timestamps, table cells, and FNV digests), units-flow
@@ -22,7 +23,7 @@
 //!    the sim crates), and API-protocol typestate checking ([`protocol`]:
 //!    `send_nb`/wait pairing, `event_record` before `stream_wait_event`,
 //!    buffer annotation before instrumented copies, no queue use after
-//!    `drain_until` without reschedule). A call-graph fixpoint layer adds
+//!    `drain_until` without reschedule). The call graph carries
 //!    interprocedural effect summaries ([`effects`]: per-function effect
 //!    sets checked against declared `// doebench::effects(...)`
 //!    contracts and walked from every hot function for `hot-path-alloc`;
@@ -31,7 +32,9 @@
 //!    double-lock, global acquisition-order cycles, guard-across-wait,
 //!    wait-outside-loop), and cache-key field-coverage proofs
 //!    ([`keycov`]: every field of the key structs must flow into the
-//!    canonical key derivation). Per-file results are memoized across
+//!    canonical key derivation). The effect summaries and taint's
+//!    return-value summaries run on the graph's one summary engine
+//!    ([`callgraph::Workspace::fixpoint`]). Per-file results are memoized across
 //!    runs by [`incr`] (`target/dessan-cache/`, `--no-cache` to bypass).
 //!
 //! 2. **Dynamic happens-before sanitizer** ([`checks`], [`vc`]): vector

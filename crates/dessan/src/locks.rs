@@ -39,7 +39,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{Node, Workspace, WsFile};
-use crate::cfg::{self, LoopShape, Step};
+use crate::cfg::{LoopShape, Step};
 use crate::dataflow::{self, Dir, Lattice};
 use crate::items::struct_defs;
 use crate::lex::TokKind;
@@ -443,14 +443,9 @@ pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
             continue;
         }
         wait_loop_findings(file, caller, &mut out);
-        let cfg = cfg::build(
-            &file.src,
-            &file.tokens,
-            f.body_tokens.clone(),
-            LoopShape::ExactlyOnce,
-        );
+        let cfg = file.cfg(caller.1, LoopShape::ExactlyOnce);
         let facts = dataflow::solve(
-            &cfg,
+            cfg,
             Dir::Forward,
             Held(Some(BTreeMap::new())),
             Held(None),

@@ -35,7 +35,7 @@
 use std::collections::BTreeSet;
 
 use crate::callgraph::WsFile;
-use crate::cfg::{self, Cfg, LoopShape, Step};
+use crate::cfg::{Cfg, LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
 use crate::lint::{LintFinding, Rule};
 
@@ -569,26 +569,15 @@ fn check_queue_drain(ctx: &Ctx, cfg: &Cfg, out: &mut Vec<LintFinding>) {
 pub fn findings(file: &WsFile) -> Vec<LintFinding> {
     let ctx = Ctx { file };
     let mut out = Vec::new();
-    for f in &file.items.fns {
+    for (gi, f) in file.items.fns.iter().enumerate() {
         if f.in_test || f.body_tokens.is_empty() {
             continue;
         }
-        let natural = cfg::build(
-            &file.src,
-            &file.tokens,
-            f.body_tokens.clone(),
-            LoopShape::Natural,
-        );
-        let exactly_once = cfg::build(
-            &file.src,
-            &file.tokens,
-            f.body_tokens.clone(),
-            LoopShape::ExactlyOnce,
-        );
-        check_send_wait(&ctx, &exactly_once, &mut out);
-        check_event_order(&ctx, &natural, &mut out);
-        check_buffer_annotate(&ctx, &natural, &mut out);
-        check_queue_drain(&ctx, &natural, &mut out);
+        let natural = file.cfg(gi, LoopShape::Natural);
+        check_send_wait(&ctx, file.cfg(gi, LoopShape::ExactlyOnce), &mut out);
+        check_event_order(&ctx, natural, &mut out);
+        check_buffer_annotate(&ctx, natural, &mut out);
+        check_queue_drain(&ctx, natural, &mut out);
     }
     out.sort_by(|a, b| {
         (a.line, a.rule.order(), &a.message).cmp(&(b.line, b.rule.order(), &b.message))

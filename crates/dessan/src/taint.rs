@@ -7,7 +7,9 @@
 //! through `let` bindings, reassignments, compound assignments,
 //! destructuring binds (`for`/`match`/`if let`), and function calls whose
 //! resolved callee returns a tainted value (an under-approximate
-//! interprocedural step over [`crate::callgraph::Workspace`]). Sinks are
+//! interprocedural step: return-value summaries computed on the
+//! workspace's one summary engine, [`Workspace::fixpoint`], with no round
+//! cap). Each fn's CFG comes from its file ([`WsFile::cfg`]). Sinks are
 //! the three places a nondeterministic value would corrupt the suite's
 //! byte-identical guarantee:
 //!
@@ -32,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{Node, Site, Workspace, WsFile};
-use crate::cfg::{self, LoopShape, Step};
+use crate::cfg::{LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
 use crate::effects::{is_hash_container, HASH_ITER_METHODS, SOURCES};
 use crate::lint::{LintFinding, Rule};
@@ -106,6 +108,17 @@ struct FnCtx<'a> {
     file: &'a WsFile,
     /// Call sites in this body, for summary lookup by (name, line).
     sites: &'a [Site],
+    /// The return-value summaries known so far.
+    summaries: &'a BTreeMap<Node, Taint>,
+    /// First tokens of the steps whose value is returned.
+    return_steps: &'a BTreeSet<usize>,
+}
+
+/// What replaying a fn's blocks from their solved inputs collects.
+#[derive(Default)]
+struct Report {
+    sinks: Vec<LintFinding>,
+    ret: Option<Taint>,
 }
 
 impl<'a> FnCtx<'a> {
@@ -132,6 +145,18 @@ impl<'a> FnCtx<'a> {
         })
     }
 
+    /// The taint of iterating the hash container named by token `tok`.
+    fn hash_iteration(&self, tok: usize) -> Taint {
+        let (name, line) = (self.file.text(tok), self.file.line(tok));
+        let desc = format!("hash-ordered iteration of `{name}`");
+        Taint {
+            origin: "hash-order",
+            chain: vec![format!("{}:{line}: {desc}", self.file.path)],
+            desc,
+            line,
+        }
+    }
+
     /// Does the expression construct a hash container?
     fn constructs_hash_container(&self, toks: &[usize]) -> bool {
         (0..toks.len()).any(|i| {
@@ -141,13 +166,8 @@ impl<'a> FnCtx<'a> {
 
     /// The taint carried by an expression, if any: a direct source, a
     /// tainted variable read, hash-ordered iteration, or a call to a fn
-    /// whose return is tainted per `summaries`.
-    fn expr_taint(
-        &self,
-        toks: &[usize],
-        facts: &Facts,
-        summaries: &BTreeMap<Node, Taint>,
-    ) -> Option<Taint> {
+    /// whose return is tainted per the summaries.
+    fn expr_taint(&self, toks: &[usize], facts: &Facts) -> Option<Taint> {
         let mut best: Option<Taint> = None;
         let mut consider = |t: Taint| {
             if best
@@ -174,16 +194,7 @@ impl<'a> FnCtx<'a> {
                         .get(i + 2)
                         .is_some_and(|&m| HASH_ITER_METHODS.contains(&self.file.text(m)));
                 if iterated {
-                    let line = self.file.line(toks[i]);
-                    consider(Taint {
-                        origin: "hash-order",
-                        desc: format!("hash-ordered iteration of `{name}`"),
-                        line,
-                        chain: vec![format!(
-                            "{}:{line}: hash-ordered iteration of `{name}`",
-                            self.file.path
-                        )],
-                    });
+                    consider(self.hash_iteration(toks[i]));
                 }
                 continue;
             }
@@ -194,7 +205,7 @@ impl<'a> FnCtx<'a> {
                 }
             }
             // Call to a fn whose return value is tainted.
-            if is_call && !summaries.is_empty() {
+            if is_call && !self.summaries.is_empty() {
                 let line = self.file.line(toks[i]);
                 let site = self
                     .sites
@@ -202,7 +213,7 @@ impl<'a> FnCtx<'a> {
                     .find(|s| s.call.line == line && s.call.name == name);
                 if let Some(site) = site {
                     for target in &site.targets {
-                        if let Some(t) = summaries.get(target) {
+                        if let Some(t) = self.summaries.get(target) {
                             consider(t.hop(format!(
                                 "{}:{line}: via call to `{name}` (returns tainted value)",
                                 self.file.path
@@ -318,6 +329,24 @@ fn parse_assign(ctx: &FnCtx, toks: &[usize]) -> Option<Assign> {
     None
 }
 
+/// The argument tokens of the call whose `(` is `toks[open]`; only the
+/// first argument when `first_only`.
+fn call_args(toks: &[usize], texts: &[&str], open: usize, first_only: bool) -> Vec<usize> {
+    let mut depth = 0usize;
+    let mut args = Vec::new();
+    for j in open + 1..toks.len() {
+        match texts[j] {
+            "(" | "[" => depth += 1,
+            ")" | "]" if depth == 0 => break,
+            ")" | "]" => depth -= 1,
+            "," if depth == 0 && first_only => break,
+            _ => {}
+        }
+        args.push(toks[j]);
+    }
+    args
+}
+
 /// Sinks in one step: `(what, via, line, argument tokens)`.
 fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usize, Vec<usize>)> {
     let texts: Vec<&str> = toks.iter().map(|&t| ctx.file.text(t)).collect();
@@ -329,26 +358,12 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
             && texts.get(i + 1) == Some(&"schedule")
             && texts.get(i + 2) == Some(&"(")
         {
-            let mut depth = 1usize;
-            let mut arg = Vec::new();
-            for j in i + 3..toks.len() {
-                match texts[j] {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    "," if depth == 1 => break,
-                    _ => {}
-                }
-                arg.push(toks[j]);
-            }
+            let arg = call_args(toks, &texts, i + 2, true);
+            let line = ctx.file.line(toks[i + 1]);
             out.push((
                 "an event timestamp",
                 ".schedule(…) first argument",
-                ctx.file.line(toks[i + 1]),
+                line,
                 arg,
             ));
         }
@@ -358,21 +373,7 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
             ("fnv1a", "an FNV digest", "fnv1a(…)"),
         ] {
             if texts[i] == name && ctx.file.is_ident(toks[i]) && texts.get(i + 1) == Some(&"(") {
-                let mut depth = 1usize;
-                let mut args = Vec::new();
-                for j in i + 2..toks.len() {
-                    match texts[j] {
-                        "(" | "[" => depth += 1,
-                        ")" | "]" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    args.push(toks[j]);
-                }
+                let args = call_args(toks, &texts, i + 1, false);
                 out.push((what, via, ctx.file.line(toks[i]), args));
             }
         }
@@ -380,40 +381,21 @@ fn sinks_in(ctx: &FnCtx, toks: &[usize]) -> Vec<(&'static str, &'static str, usi
     out
 }
 
-/// Apply one step's effect to `facts`; when `sink_findings` is set, also
-/// check sinks (against the facts *before* the step's assignment) and
-/// record return-value taint for steps listed in `return_steps`.
-fn apply_step(
-    ctx: &FnCtx,
-    step: &Step,
-    facts: &mut Facts,
-    summaries: &BTreeMap<Node, Taint>,
-    return_steps: &BTreeSet<usize>,
-    mut sink_findings: Option<&mut Vec<LintFinding>>,
-    ret_taint: &mut Option<Taint>,
-) {
+/// Apply one step's effect to `facts`; when replaying into a `report`,
+/// also check sinks (against the facts *before* the step's assignment)
+/// and record the taint of a returned value.
+fn apply_step(ctx: &FnCtx, step: &Step, facts: &mut Facts, report: Option<&mut Report>) {
     match step {
         Step::Bind { pattern, source } => {
-            let mut taint = ctx.expr_taint(source, facts, summaries);
             // Iterating a hash container directly (`for k in map`) is
             // hash-ordered even without an explicit `.iter()`.
-            if taint.is_none() {
-                if let Some(&h) = source.iter().find(|&&t| {
-                    ctx.file.is_ident(t) && facts.hash_containers.contains(ctx.file.text(t))
-                }) {
-                    let name = ctx.file.text(h);
-                    let line = ctx.file.line(h);
-                    taint = Some(Taint {
-                        origin: "hash-order",
-                        desc: format!("hash-ordered iteration of `{name}`"),
-                        line,
-                        chain: vec![format!(
-                            "{}:{line}: hash-ordered iteration of `{name}`",
-                            ctx.file.path
-                        )],
-                    });
-                }
-            }
+            let taint = ctx.expr_taint(source, facts).or_else(|| {
+                let is_hash = |t: usize| facts.hash_containers.contains(ctx.file.text(t));
+                let h = source
+                    .iter()
+                    .find(|&&t| ctx.file.is_ident(t) && is_hash(t))?;
+                Some(ctx.hash_iteration(*h))
+            });
             if let Some(t) = taint {
                 for v in ctx.pattern_vars(pattern) {
                     let hop = t.hop(format!(
@@ -431,13 +413,13 @@ fn apply_step(
         }
         Step::Code(toks) => {
             // Sinks see the facts *before* this statement's assignment.
-            if let Some(findings) = sink_findings.as_mut() {
+            if let Some(report) = report {
                 for (what, via, line, args) in sinks_in(ctx, toks) {
-                    if let Some(t) = ctx.expr_taint(&args, facts, summaries) {
+                    if let Some(t) = ctx.expr_taint(&args, facts) {
                         if !ctx.file.items.waived(Rule::NondetTaint.id(), line) {
                             let mut chain = t.chain.clone();
                             chain.push(format!("{}:{line}: sink {via}", ctx.file.path));
-                            findings.push(LintFinding {
+                            report.sinks.push(LintFinding {
                                 rule: Rule::NondetTaint,
                                 path: ctx.file.path.clone(),
                                 line,
@@ -452,17 +434,15 @@ fn apply_step(
                         }
                     }
                 }
-            }
-            // Return-value taint for the interprocedural summary.
-            if let Some(&first) = toks.first() {
-                if return_steps.contains(&first) {
-                    if let Some(t) = ctx.expr_taint(toks, facts, summaries) {
-                        if ret_taint
-                            .as_ref()
-                            .is_none_or(|r| (t.line, &t.desc) < (r.line, &r.desc))
-                        {
-                            *ret_taint = Some(t);
-                        }
+                // Return-value taint for the interprocedural summary.
+                let returned = toks.first().is_some_and(|t| ctx.return_steps.contains(t));
+                if let Some(t) = returned.then(|| ctx.expr_taint(toks, facts)).flatten() {
+                    if report
+                        .ret
+                        .as_ref()
+                        .is_none_or(|r| (t.line, &t.desc) < (r.line, &r.desc))
+                    {
+                        report.ret = Some(t);
                     }
                 }
             }
@@ -492,7 +472,7 @@ fn apply_step(
                     }
                     return;
                 }
-                let taint = ctx.expr_taint(&a.rhs, facts, summaries);
+                let taint = ctx.expr_taint(&a.rhs, facts);
                 for v in a.lhs {
                     match (&taint, a.compound) {
                         (Some(t), _) => {
@@ -518,83 +498,52 @@ fn apply_step(
     }
 }
 
-/// Analyze one function: fixpoint its facts, optionally collect sink
-/// findings, and return its return value's taint (for summaries).
-fn analyze_fn(
-    ws: &Workspace,
-    node: Node,
-    summaries: &BTreeMap<Node, Taint>,
-    findings: Option<&mut Vec<LintFinding>>,
-) -> Option<Taint> {
+/// Analyze one function against the return-value `summaries` of its
+/// callees: solve its facts, then replay each block once to collect its
+/// sink findings and its return value's taint.
+fn analyze_fn(ws: &Workspace, node: Node, summaries: &BTreeMap<Node, Taint>) -> Report {
     let file = &ws.files[node.0];
-    let f = &file.items.fns[node.1];
-    let cfg = cfg::build(
-        &file.src,
-        &file.tokens,
-        f.body_tokens.clone(),
-        LoopShape::Natural,
-    );
+    let cfg = file.cfg(node.1, LoopShape::Natural);
     let ctx = FnCtx {
         file,
         sites: ws.sites(node),
+        summaries,
+        return_steps: &cfg.return_steps,
     };
-    let mut sink_scratch = None;
     let inputs = solve(
-        &cfg,
+        cfg,
         Dir::Forward,
         Facts::default(),
         Facts::default(),
         |b, i| {
             let mut facts = i.clone();
             for step in &cfg.blocks[b].steps {
-                apply_step(
-                    &ctx,
-                    step,
-                    &mut facts,
-                    summaries,
-                    &cfg.return_steps,
-                    None,
-                    &mut sink_scratch,
-                );
+                apply_step(&ctx, step, &mut facts, None);
             }
             facts
         },
     );
-
-    // Replay each block once with its solved input: collect sinks and the
-    // return taint.
-    let mut ret: Option<Taint> = None;
-    let mut sink_acc = Vec::new();
-    let want_findings = findings.is_some();
-    for (b, input) in inputs.iter().enumerate() {
-        let mut facts = input.clone();
+    let mut report = Report::default();
+    for (b, mut facts) in inputs.into_iter().enumerate() {
         for step in &cfg.blocks[b].steps {
-            apply_step(
-                &ctx,
-                step,
-                &mut facts,
-                summaries,
-                &cfg.return_steps,
-                want_findings.then_some(&mut sink_acc),
-                &mut ret,
-            );
+            apply_step(&ctx, step, &mut facts, Some(&mut report));
         }
     }
-    if let Some(out) = findings {
-        out.extend(sink_acc);
-    }
-    ret
+    report
 }
 
 /// Run the taint analysis over a workspace (a one-file workspace for the
-/// per-file entry point, the whole tree for `dessan-lint`).
+/// per-file entry point, the whole tree for `dessan-lint`). The return
+/// summaries run on the workspace's summary engine: a fn's summary is set
+/// once, in the first round its return is tainted, and a fn is
+/// re-analyzed whenever one of its callees' summaries was just set, so
+/// its sinks as last analyzed saw every final callee summary.
 pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
     let files = ws.files;
-    let nodes: Vec<Node> = ws.fns().map(|(node, _)| node).collect();
-    let mut summaries: BTreeMap<Node, Taint> = BTreeMap::new();
+    let mut marked = BTreeMap::new();
     for (node, f) in ws.fns().filter(|(_, f)| f.taint_source) {
         let path = &files[node.0].path;
-        summaries.insert(
+        marked.insert(
             node,
             Taint {
                 origin: "taint-source",
@@ -607,36 +556,22 @@ pub fn findings(ws: &Workspace) -> Vec<LintFinding> {
             },
         );
     }
-
-    // Interprocedural fixpoint: summaries only grow, so this terminates;
-    // 10 rounds bounds pathological call-chain depth.
-    for _ in 0..10 {
-        let mut changed = false;
-        for &node in &nodes {
-            if summaries.contains_key(&node) {
-                continue;
-            }
-            if let Some(t) = analyze_fn(ws, node, &summaries, None) {
-                let f = &files[node.0].items.fns[node.1];
-                summaries.insert(
-                    node,
-                    t.hop(format!(
-                        "{}:{}: returned from `{}`",
-                        files[node.0].path, f.sig_line, f.name
-                    )),
-                );
-                changed = true;
-            }
+    let mut sinks: BTreeMap<Node, Vec<LintFinding>> = BTreeMap::new();
+    ws.fixpoint(marked, |node, summaries| {
+        let Report { sinks: found, ret } = analyze_fn(ws, node, summaries);
+        sinks.insert(node, found);
+        if summaries.contains_key(&node) {
+            return None;
         }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut out = Vec::new();
-    for &node in &nodes {
-        analyze_fn(ws, node, &summaries, Some(&mut out));
-    }
+        let f = &files[node.0].items.fns[node.1];
+        ret.map(|t| {
+            t.hop(format!(
+                "{}:{}: returned from `{}`",
+                files[node.0].path, f.sig_line, f.name
+            ))
+        })
+    });
+    let mut out: Vec<LintFinding> = sinks.into_values().flatten().collect();
     // One finding per (path, line, message); loops can replay a sink.
     out.sort_by(|a, b| (&a.path, a.line, &a.message).cmp(&(&b.path, b.line, &b.message)));
     out.dedup_by(|a, b| a.path == b.path && a.line == b.line && a.message == b.message);

@@ -25,7 +25,7 @@
 use std::collections::BTreeMap;
 
 use crate::callgraph::WsFile;
-use crate::cfg::{self, LoopShape, Step};
+use crate::cfg::{LoopShape, Step};
 use crate::dataflow::{solve, Dir, Lattice};
 use crate::lint::{crate_of, LintFinding, Rule};
 
@@ -535,18 +535,13 @@ pub fn findings(file: &WsFile) -> Vec<LintFinding> {
     }
     let ctx = Ctx { file };
     let mut out = Vec::new();
-    for f in &file.items.fns {
+    for (gi, f) in file.items.fns.iter().enumerate() {
         if f.body_tokens.is_empty() {
             continue; // test fns stay IN scope — see module docs
         }
-        let cfg = cfg::build(
-            &file.src,
-            &file.tokens,
-            f.body_tokens.clone(),
-            LoopShape::Natural,
-        );
+        let cfg = file.cfg(gi, LoopShape::Natural);
         let inputs = solve(
-            &cfg,
+            cfg,
             Dir::Forward,
             Env(Some(BTreeMap::new())),
             Env(None),

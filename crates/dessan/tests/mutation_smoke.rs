@@ -1,14 +1,14 @@
 //! Seeded-mutation smoke tests for the dataflow analyses.
 //!
 //! Each test takes a REAL workspace source file, verifies the pristine
-//! text carries no finding of the rule under test, applies a one-line
+//! text carries no finding of the rule under test, applies a small
 //! mutation of the kind the rule exists to catch (drop a recv, reorder
 //! an event_record, strip a buffer annotation, break a unit conversion,
-//! seed a timestamp from the wall clock, call an allocating helper from a
-//! hot fn), and asserts the mutant is
-//! flagged. This is the end-to-end guarantee that the checkers detect
-//! the bug classes they claim to — not just on fixtures, but on the
-//! actual code they gate.
+//! seed a timestamp from the wall clock directly or through a helper's
+//! return value, call an allocating helper from a hot fn), and asserts
+//! the mutant is flagged. This is the end-to-end guarantee that the
+//! checkers detect the bug classes they claim to — not just on
+//! fixtures, but on the actual code they gate.
 
 use std::path::{Path, PathBuf};
 
@@ -20,17 +20,20 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Load a workspace file, assert the mutation pattern is present exactly
+/// Load a workspace file, assert each edit's pattern is present exactly
 /// once, and return `(pristine, mutant)` texts.
-fn mutate(rel: &str, from: &str, to: &str) -> (String, String) {
+fn mutate(rel: &str, edits: &[(&str, &str)]) -> (String, String) {
     let path = workspace_root().join(rel);
     let pristine = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{rel}: {e}"));
-    assert_eq!(
-        pristine.matches(from).count(),
-        1,
-        "{rel}: mutation site `{from}` must appear exactly once (file drifted?)"
-    );
-    let mutant = pristine.replacen(from, to, 1);
+    let mut mutant = pristine.clone();
+    for (from, to) in edits {
+        assert_eq!(
+            pristine.matches(from).count(),
+            1,
+            "{rel}: mutation site `{from}` must appear exactly once (file drifted?)"
+        );
+        mutant = mutant.replacen(from, to, 1);
+    }
     (pristine, mutant)
 }
 
@@ -42,7 +45,12 @@ fn rules_of(path: &str, src: &str) -> Vec<&'static str> {
 }
 
 fn assert_mutation_detected(rel: &str, from: &str, to: &str, rule: &str) {
-    let (pristine, mutant) = mutate(rel, from, to);
+    assert_edits_detected(rel, &[(from, to)], rule);
+}
+
+/// [`assert_mutation_detected`] for a mutation made of several edits.
+fn assert_edits_detected(rel: &str, edits: &[(&str, &str)], rule: &str) {
+    let (pristine, mutant) = mutate(rel, edits);
     let before = rules_of(rel, &pristine);
     assert!(
         !before.contains(&rule),
@@ -51,7 +59,7 @@ fn assert_mutation_detected(rel: &str, from: &str, to: &str, rule: &str) {
     let after = rules_of(rel, &mutant);
     assert!(
         after.contains(&rule),
-        "{rel}: `{rule}` missed the seeded mutation `{from}` -> `{to}`; found {after:?}"
+        "{rel}: `{rule}` missed the seeded mutation {edits:?}; found {after:?}"
     );
 }
 
@@ -112,6 +120,30 @@ fn wall_clock_timestamp_is_caught_by_nondet_taint() {
         "queue.schedule(world.time(a)?, i as u32);",
         "let skew = Instant::now().elapsed().as_nanos() as u64;\n            \
          queue.schedule(world.time(a)? + doe_simtime::SimDuration::from_ns(skew), i as u32);",
+        "nondet-taint",
+    );
+}
+
+#[test]
+fn wall_clock_returned_by_a_helper_is_caught_by_nondet_taint() {
+    // The host clock reaches the timestamp only as a same-file helper's
+    // return value: the taint crosses the call through the return
+    // summaries, not through any local binding of the caller.
+    assert_edits_detected(
+        "crates/mpisim/src/storm.rs",
+        &[
+            (
+                "queue.schedule(world.time(a)?, i as u32);",
+                "queue.schedule(world.time(a)? + host_skew(), i as u32);",
+            ),
+            (
+                "/// Build a storm, run `events` round trips, and report.\n",
+                "fn host_skew() -> doe_simtime::SimDuration {\n    \
+                 let ns = std::time::Instant::now().elapsed().as_nanos() as u64;\n    \
+                 doe_simtime::SimDuration::from_ns(ns)\n}\n\n\
+                 /// Build a storm, run `events` round trips, and report.\n",
+            ),
+        ],
         "nondet-taint",
     );
 }
